@@ -49,6 +49,7 @@ from .errors import (
     UnresolvableWidth,
     UnstablePlan,
     UnsupportedHamiltonian,
+    UnsupportedObservable,
     ZeroMassSlice,
 )
 from .measurement import (

@@ -460,9 +460,10 @@ _SCENARIO_RUNNERS = {
 }
 
 
-def run(config, out_dir, seed=0):
+def run(config, out_dir, seed=None):
     """Validate and execute one experiment; returns the RunManifest.
 
+    A ``seed`` argument wins over ``config["seed"]``, which wins over 0.
     The manifest is written even when the scenario fails (status records
     the failure); configuration errors abort before any output.
     """
@@ -471,8 +472,9 @@ def run(config, out_dir, seed=0):
     scenario = _value(config, "", "scenario", str)
     if scenario not in SCENARIOS:
         _fail("scenario", f"unknown scenario {scenario!r}")
-    if "seed" in config:
-        seed = _value(config, "", "seed", int)
+    config_seed = _value(config, "", "seed", int) if "seed" in config else 0
+    if seed is None:
+        seed = config_seed
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -584,10 +586,9 @@ def main(argv=None):
     config["scenario"] = args.scenario
 
     out_dir = args.out or (Path(args.config).stem + ".out" if args.config else "algebra.out")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
 
     try:
-        manifest = run(config, out_dir, seed=seed)
+        manifest = run(config, out_dir, seed=args.seed)
         if args.plot:
             emit_plot_data(manifest, args.plot)
             manifest.record(Path(manifest.out_dir) / f"plot_{args.plot}.csv")

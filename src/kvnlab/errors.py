@@ -33,6 +33,10 @@ class NonHermitianObservable(KvnLabError):
     """Observable mixes a coordinate with its own conjugate; no diagonal representation."""
 
 
+class UnsupportedObservable(KvnLabError):
+    """Observable has a monomial of total degree above 2."""
+
+
 class UnstablePlan(KvnLabError):
     """Propagation pushed significant probability into the grid boundary."""
 

@@ -26,6 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import (
+    _WRAP_LIMIT,
+    HamiltonianSpec,
+    PropagationPlan,
+    kvn_evolve,
+    wrapped_shift_mass,
+)
 from .errors import ShiftOverflow, ZeroMassSlice
 from .phasespace import (
     Axis,
@@ -88,17 +95,6 @@ def _require_matched(a: Axis, b: Axis, what):
         raise ValueError(f"{what}: lattices must share size and spacing")
 
 
-_WRAP_LIMIT = 1e-6
-
-
-def wrapped_shift_mass(joint_prob, vals_main, vals_other, lo, hi, factor):
-    """Probability mass that the shear main -> main + factor*other wraps
-    around the periodic box [lo, hi)."""
-    landed = vals_main[:, None] + factor * vals_other[None, :]
-    outside = (landed < lo) | (landed >= hi)
-    return float(joint_prob[outside].sum())
-
-
 def _guard_shifts(target: PhaseState, device: PhaseState, lam_t=1.0):
     """The shears p -> p - lam_t*P and X -> X + lam_t*x must keep all but a
     negligible amount of probability inside the box."""
@@ -108,8 +104,7 @@ def _guard_shifts(target: PhaseState, device: PhaseState, lam_t=1.0):
     prob_d = rho_d.array * rho_d.cell_measure()
     p_mass = np.outer(prob_t.sum(axis=0), prob_d.sum(axis=0))
     wrap_p = wrapped_shift_mass(
-        p_mass, rho_t.values[1], rho_d.values[1],
-        target.grid.p_min, target.grid.p_max, -lam_t,
+        p_mass, target.grid.p_axis, 0, -lam_t * rho_d.values[1][None, :]
     )
     if wrap_p > _WRAP_LIMIT:
         raise ShiftOverflow(
@@ -117,8 +112,7 @@ def _guard_shifts(target: PhaseState, device: PhaseState, lam_t=1.0):
         )
     X_mass = np.outer(prob_d.sum(axis=1), prob_t.sum(axis=1))
     wrap_X = wrapped_shift_mass(
-        X_mass, rho_d.values[0], rho_t.values[0],
-        device.grid.x_min, device.grid.x_max, lam_t,
+        X_mass, device.grid.x_axis, 0, lam_t * rho_t.values[0][None, :]
     )
     if wrap_X > _WRAP_LIMIT:
         raise ShiftOverflow(
@@ -271,8 +265,6 @@ def free_particle_as_measurement(s: PhaseState, mass, t) -> MeasurementRecord:
     Free evolution for time t shifts the pointer by (p/m)t; the record is
     the x-marginal afterwards (at t=0, the initial one).
     """
-    from .dynamics import HamiltonianSpec, PropagationPlan, kvn_evolve
-
     evolved = to_representation(s, "xp")
     if t != 0.0:
         plan = PropagationPlan(dt=float(t), n_steps=1)

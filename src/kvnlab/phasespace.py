@@ -21,6 +21,7 @@ from .errors import (
     NonHermitianObservable,
     OutOfBounds,
     UnresolvableWidth,
+    UnsupportedObservable,
     ZeroMassSlice,
 )
 
@@ -176,6 +177,8 @@ class _Field:
     def with_conj(self, flags):
         """Transform to the representation given by per-axis conjugate flags."""
         flags = tuple(bool(f) for f in flags)
+        if flags == self._conj:
+            return self
         amp = self.amp
         for i, (cur, want) in enumerate(zip(self._conj, flags)):
             if cur == want:
@@ -398,14 +401,15 @@ def expectation(s: _Field, obs) -> float:
 
     Each monomial is evaluated in the representation where all of its
     factors are diagonal; mixing an axis with its own conjugate has no such
-    representation and raises NonHermitianObservable.
+    representation and raises NonHermitianObservable.  A monomial above
+    degree 2 raises UnsupportedObservable.
     """
     obs = Observable.parse(obs)
     total = 0.0
     cache = {s.conj_flags: s}
     for coeff, powers in obs.terms:
         if sum(e for _, e in powers) > 2:
-            raise NonHermitianObservable(
+            raise UnsupportedObservable(
                 "only polynomials up to total degree 2 are supported"
             )
         flags = list(s.conj_flags)

@@ -91,3 +91,56 @@ def dense_couple(state4, lam, t):
             block = amp[i, :, :, l]
             out[i, :, :, l] = u_p @ block @ u_x.T
     return out
+
+
+def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitting="strang"):
+    """Uncoupled 4D evolution one split step at a time.
+
+    Every factor goes to its own representation and back with the unitary
+    transforms of phasespace, and its phase is rebuilt every step; nothing
+    is fused.  Returns the amplitude in the all-coordinate representation.
+    """
+    from kvnlab.phasespace import _to_conjugate, _to_coordinate
+
+    work = state4.with_conj((False,) * 4)
+    tg, dg = work.target_grid, work.device_grid
+    n = max(1, round(duration / dt))
+    dt = duration / n
+    half = splitting == "strang"
+    subsys = ((tg, h_target, 0, 1), (dg, h_device, 2, 3))
+
+    def along(values, axis):
+        shape = [1] * 4
+        shape[axis] = len(values)
+        return values.reshape(shape)
+
+    def apply_v(amp, frac):
+        for grid, h, ax0, ax1 in subsys:
+            if h is None or (h.potential[1] == 0.0 and h.potential[2] == 0.0):
+                continue
+            amp = _to_conjugate(amp, grid.p_axis, ax1)
+            amp *= np.exp(1j * dt * frac * h.v_prime(along(grid.x(), ax0))
+                          * along(grid.pi_p(), ax1))
+            amp = _to_coordinate(amp, grid.p_axis, ax1)
+        return amp
+
+    def apply_t(amp):
+        for grid, h, ax0, ax1 in subsys:
+            if h is None:
+                continue
+            tc = h.kinetic_coeffs()
+            if tc[1] == 0.0 and tc[2] == 0.0:
+                continue
+            amp = _to_conjugate(amp, grid.x_axis, ax0)
+            amp *= np.exp(-1j * dt * h.t_prime(along(grid.p(), ax1)) * along(grid.pi_x(), ax0))
+            amp = _to_coordinate(amp, grid.x_axis, ax0)
+        return amp
+
+    amp = np.array(work.amp)
+    for _ in range(n):
+        if half:
+            amp = apply_t(apply_v(amp, 0.5))
+            amp = apply_v(amp, 0.5)
+        else:
+            amp = apply_v(apply_t(amp), 1.0)
+    return amp

@@ -82,6 +82,19 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     assert "hamiltonian.mass" in err
 
 
+def test_seed_flag_wins_over_config_seed(tmp_path):
+    path = write_config(tmp_path, dict(EVOLVE_CFG, seed=3))
+    hashes = {}
+    for seed in (5, 1):
+        out = tmp_path / f"seed{seed}"
+        argv = ["evolve", "--config", str(path), "--out", str(out), "--seed", str(seed)]
+        assert cli.main(argv) == 0
+        hashes[seed] = json.loads((out / "manifest.json").read_text())["config_hash"]
+    assert hashes[5] != hashes[1]
+    direct = cli.run(dict(EVOLVE_CFG, scenario="evolve", seed=3), tmp_path / "direct", seed=5)
+    assert direct.config_hash == hashes[5]
+
+
 def test_unknown_keys_rejected(tmp_path):
     cfg = dict(EVOLVE_CFG, scenario="evolve", typo_key=1)
     with pytest.raises(ConfigError, match="typo_key"):

@@ -7,7 +7,7 @@ from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 
-from _oracles import dense_couple, dense_evolve
+from _oracles import dense_couple, dense_evolve, free_evolve_bipartite_steps
 
 
 @pytest.fixture
@@ -56,6 +56,23 @@ def test_zero_hamiltonian_identity(grid):
     s = ps.make_point(grid, 1.0, 2.0)
     out = dyn.kvn_evolve(s, dyn.HamiltonianSpec.zero(), dyn.PropagationPlan(0.1, 10))
     assert out is s
+
+
+def test_static_hamiltonian_returns_xp(grid):
+    s = ps.to_representation(ps.make_gaussian(grid, 1.0, 0.5, 1.0, 0.5), "pix_p")
+    zero = dyn.HamiltonianSpec.zero()
+    for out in (dyn.kvn_evolve(s, zero, dyn.PropagationPlan(0.1, 3)),
+                dyn.qm_evolve(s, zero, dyn.PropagationPlan(0.1, 3, hbar=0.2))):
+        assert out.rep == "xp"
+        assert ps.l2_distance(out, s) < 1e-12
+
+
+def test_qm_evolve_static_calls_observer(grid):
+    s = ps.make_gaussian(grid, 1.0, 0.5, 1.0, 0.5)
+    seen = []
+    plan = dyn.PropagationPlan(0.1, 4, hbar=0.2)
+    dyn.qm_evolve(s, dyn.HamiltonianSpec.zero(), plan, observer=lambda i, st: seen.append((i, st.rep)))
+    assert seen == [(i, "xp") for i in range(4)]
 
 
 def test_free_point_state_follows_linear_orbit(grid):
@@ -188,7 +205,8 @@ def test_free_bipartite_evolution_factorizes():
     h_t = dyn.HamiltonianSpec.free(1.0)
     h_d = dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.2, 0.0))
     plan = dyn.PropagationPlan(0.05, 1)
-    joint = dyn.free_evolve_bipartite(ps.product_state(target, device), h_t, h_d, 0.25, plan)
+    joint = dyn.free_evolve_bipartite(ps.product_state(target, device), h_t, h_d, 0.25, plan,
+                                      check_stability=False)
     t_alone = dyn.kvn_evolve(target, h_t, dyn.PropagationPlan(0.05, 5), check_stability=False)
     d_alone = dyn.kvn_evolve(device, h_d, dyn.PropagationPlan(0.05, 5), check_stability=False)
     assert ps.l2_distance(joint, ps.product_state(t_alone, d_alone)) < 1e-10
@@ -223,6 +241,65 @@ def test_classical_limit_scan_free_particle(grid):
     assert devs[1] / devs[0] <= 0.7
     assert devs[2] / devs[1] <= 0.7
     assert all(d <= 2.0 for d in devs)
+
+
+def test_free_flight_4d_wrap_raises_unstable_plan():
+    # 3.0 of free flight carries the Gaussian at p0 = 6 past x = 16
+    grid = ps.Grid2D(32, 32, -16.0, 16.0, -16.0, 16.0)
+    g = ps.make_gaussian(grid, 0.0, 6.0, 2.0, 2.0)
+    free = dyn.HamiltonianSpec.free(1.0)
+    with pytest.raises(UnstablePlan, match="wraps"):
+        dyn.free_evolve_bipartite(ps.product_state(g, g), free, free, 3.0,
+                                  dyn.PropagationPlan(0.05, 1))
+
+
+def test_split_steps_fuse_without_observer():
+    axes = ps.BipartiteState(_small_grid(), _small_grid(), (False,) * 4,
+                             np.zeros((8,) * 4)).axes()
+    free = dyn.HamiltonianSpec.free(1.0)
+    step = dyn._split_step(axes, ((0, free), (2, free)), 0.05, "strang")
+    fused = dyn._fuse(step * 20)
+    assert [f.axis for f in fused] == [0, 2]
+    assert all(abs(f.tau - 1.0) < 1e-12 for f in fused)
+    # V != 0: neighbouring Strang half kicks merge, nothing else does
+    step = dyn._split_step(axes[:2], ((0, dyn.HamiltonianSpec.harmonic()),), 0.05, "strang")
+    fused = dyn._fuse(step * 20)
+    assert [f.axis for f in fused] == [1] + [0, 1] * 20
+    assert [f.tau for f in fused[2:-1:2]] == [0.05] * 19
+
+
+@pytest.mark.parametrize("splitting", ["strang", "lie"])
+@pytest.mark.parametrize("h_device", [None, dyn.HamiltonianSpec.free(2.0),
+                                      dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.2, 0.3))])
+def test_fused_free_flight_matches_step_loop(splitting, h_device):
+    grid = ps.Grid2D(16, 16, -6.0, 6.0, -6.0, 6.0)
+    rng = np.random.default_rng(11)
+    amp = rng.standard_normal((16,) * 4) + 1j * rng.standard_normal((16,) * 4)
+    s = ps.BipartiteState(grid, grid, (False,) * 4, amp).normalized()
+    h_t = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
+    plan = dyn.PropagationPlan(0.05, 1, splitting=splitting)
+    out = dyn.free_evolve_bipartite(s, h_t, h_device, 0.5, plan, check_stability=False)
+    ref = free_evolve_bipartite_steps(s, h_t, h_device, 0.5, 0.05, splitting)
+    assert np.abs(out.amp - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_engine_factor_is_phase_in_conjugate_representation(axis):
+    # an off-centre p range makes the axis phases of the transforms nontrivial
+    grid = ps.Grid2D(8, 8, -4.0, 4.0, -3.0, 5.0)
+    rng = np.random.default_rng(axis)
+    amp = rng.standard_normal((8,) * 4) + 1j * rng.standard_normal((8,) * 4)
+    s = ps.BipartiteState(grid, grid, (False,) * 4, amp).normalized()
+    other = 3 - axis
+    shift = dyn._along(0.8 * s.axes()[other].coords() + 0.3, other, 4)
+    tau, curv = 0.37, 0.2
+    out = dyn._propagate(s, [[dyn._Shear(axis, shift, tau, curv)]], check_wrap=False)
+    flags = tuple(i == axis for i in range(4))
+    view = s.with_conj(flags)
+    k = dyn._along(view.axis_values(axis), axis, 4)
+    phased = view.amp * np.exp(-1j * tau * (shift * k + curv * k**2))
+    ref = ps.BipartiteState(grid, grid, flags, phased).with_conj((False,) * 4)
+    assert np.abs(out.amp - ref.amp).max() < 1e-13
 
 
 def test_couple_evolve_point_map():

@@ -8,6 +8,7 @@ from kvnlab.errors import (
     NonHermitianObservable,
     OutOfBounds,
     UnresolvableWidth,
+    UnsupportedObservable,
     ZeroMassSlice,
 )
 from kvnlab.stateio import export_density_csv, load_state, save_state
@@ -144,8 +145,13 @@ def test_expectation_rejects_conjugate_mixing(grid):
     s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(NonHermitianObservable):
         ps.expectation(s, "x*pi_x")
-    with pytest.raises(NonHermitianObservable):
-        ps.expectation(s, "x^2*p")  # degree 3
+
+
+def test_expectation_rejects_degree_above_two(grid):
+    s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(UnsupportedObservable) as info:
+        ps.expectation(s, "x^2*p")
+    assert not isinstance(info.value, NonHermitianObservable)
 
 
 def test_marginal_total_mass(grid):
