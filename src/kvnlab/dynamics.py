@@ -189,10 +189,11 @@ def _fuse(factors):
 
 
 def _wrapped_cells(shape, axis, dim, shift):
-    """Flat indices of the cells of a ``shape`` array that the shear
-    u -> u + shift along dimension ``dim`` carries out of ``axis``'s range."""
-    landed = _along(axis.coords(), dim, len(shape)) + shift
-    outside = (landed < axis.vmin) | (landed >= axis.vmax)
+    """Flat indices of the cells that u -> u + shift along ``dim`` carries
+    past an end of ``axis``; an edge cell counts for any shift towards its
+    edge, since a sub-cell spectral shift already wraps part of it."""
+    landed = _along(np.arange(axis.n), dim, len(shape)) + shift / axis.d
+    outside = (landed < 0) | (landed > axis.n - 1)
     return np.flatnonzero(np.broadcast_to(outside, shape))
 
 
@@ -350,7 +351,7 @@ def couple_evolve(s, coupling, t, check_wrap=True):
     return _propagate(s, [[kick, shift]], check_wrap=check_wrap, error=ShiftOverflow)
 
 
-def free_evolve_bipartite(s, h_target, h_device, duration, plan, check_stability=True):
+def free_evolve_bipartite(s, h_target, h_device, duration, plan):
     """Uncoupled evolution of target and device for ``duration``.
 
     Runs split steps of about ``plan.dt``.  Nothing observes the state in
@@ -362,7 +363,7 @@ def free_evolve_bipartite(s, h_target, h_device, duration, plan, check_stability
         return s
     n = max(1, round(duration / plan.dt))
     step = _split_step(s.axes(), ((0, h_target), (2, h_device)), duration / n, plan.splitting)
-    return _propagate(s, [step] * n, check_wrap=check_stability)
+    return _propagate(s, [step] * n)
 
 
 def pulsed_propagator(s, h_target, h_device, eps, t1, t_total, plan):

@@ -176,6 +176,19 @@ def test_unstable_plan_detected():
     s = ps.make_gaussian(grid, 3.0, 1.5, 0.7, 0.7)  # drifting into the wall
     with pytest.raises(UnstablePlan):
         dyn.kvn_evolve(s, dyn.HamiltonianSpec.free(1.0), dyn.PropagationPlan(0.1, 40))
+    # each step moves the state by less than one cell, and the observer
+    # keeps the steps apart, so only the per-factor guard can see the wall
+    with pytest.raises(UnstablePlan, match="wraps"):
+        dyn.kvn_evolve(s, dyn.HamiltonianSpec.free(1.0), dyn.PropagationPlan(0.01, 400),
+                       observer=lambda i, st: None)
+
+
+def test_sub_cell_shift_guard_is_symmetric():
+    axis = ps.Axis(8, -4.0, 4.0)
+    prob = np.full(8, 1.0 / 8)
+    for frac in (0.3, -0.3):
+        assert dyn.wrapped_shift_mass(prob, axis, 0, frac * axis.d) == pytest.approx(1.0 / 8)
+    assert dyn.wrapped_shift_mass(prob, axis, 0, 0.0) == 0.0
 
 
 def test_qm_evolve_matches_dense_deformed_oracle():
@@ -204,9 +217,10 @@ def test_free_bipartite_evolution_factorizes():
     target, device = rand2d(), rand2d()
     h_t = dyn.HamiltonianSpec.free(1.0)
     h_d = dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.2, 0.0))
-    plan = dyn.PropagationPlan(0.05, 1)
-    joint = dyn.free_evolve_bipartite(ps.product_state(target, device), h_t, h_d, 0.25, plan,
-                                      check_stability=False)
+    # random states fill the box, so the wrap guard is off
+    joint = ps.product_state(target, device)
+    step = dyn._split_step(joint.axes(), ((0, h_t), (2, h_d)), 0.05, "strang")
+    joint = dyn._propagate(joint, [step] * 5, check_wrap=False)
     t_alone = dyn.kvn_evolve(target, h_t, dyn.PropagationPlan(0.05, 5), check_stability=False)
     d_alone = dyn.kvn_evolve(device, h_d, dyn.PropagationPlan(0.05, 5), check_stability=False)
     assert ps.l2_distance(joint, ps.product_state(t_alone, d_alone)) < 1e-10
@@ -277,8 +291,9 @@ def test_fused_free_flight_matches_step_loop(splitting, h_device):
     amp = rng.standard_normal((16,) * 4) + 1j * rng.standard_normal((16,) * 4)
     s = ps.BipartiteState(grid, grid, (False,) * 4, amp).normalized()
     h_t = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
-    plan = dyn.PropagationPlan(0.05, 1, splitting=splitting)
-    out = dyn.free_evolve_bipartite(s, h_t, h_device, 0.5, plan, check_stability=False)
+    # random states fill the box, so the wrap guard is off
+    step = dyn._split_step(s.axes(), ((0, h_t), (2, h_device)), 0.05, splitting)
+    out = dyn._propagate(s, [step] * 10, check_wrap=False)
     ref = free_evolve_bipartite_steps(s, h_t, h_device, 0.5, 0.05, splitting)
     assert np.abs(out.amp - ref).max() < 1e-12
 
