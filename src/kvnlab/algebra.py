@@ -399,34 +399,16 @@ def heisenberg_evolve(a: OperatorExpr, l: OperatorExpr, t=None, term_bound: int 
 
         a(t) = sum_n (i t)^n / n! * ad_L^n(a),
 
-    evaluated exactly; the series must terminate within ``term_bound``
-    nested commutators.  ``t`` defaults to the formal scalar, any exact
-    number may be substituted instead.
+    evaluated exactly as adjoint_conjugate(i*t*L, a); the series must
+    terminate within ``term_bound`` nested commutators.  ``t`` defaults to
+    the formal scalar, any exact number may be substituted instead (t = 0
+    returns ``a``).
     """
     if t is None:
-        t_expr = t_sym
-    elif isinstance(t, OperatorExpr):
-        t_expr = t
-    else:
-        t_expr = OperatorExpr.scalar(Fraction(t))
-    result = a
-    cur = a
-    n_fact = 1
-    t_pow = OperatorExpr.one()
-    for n in range(1, term_bound + 1):
-        cur = commutator(l, cur)
-        if cur.is_zero():
-            return result
-        if n == term_bound:
-            raise NonTerminatingSeries(
-                f"ad^{term_bound} is still nonzero ({len(cur.terms)} terms)"
-            )
-        n_fact *= n
-        t_pow = multiply(t_pow, t_expr)
-        # (i t)^n / n!
-        coeff = _cmul(_NEG_I_POW[(-n) % 4], (Fraction(1, n_fact), Fraction(0)))
-        result = result + multiply(t_pow, cur).scaled(coeff)
-    return result
+        t = t_sym
+    elif not isinstance(t, OperatorExpr):
+        t = OperatorExpr.scalar(Fraction(t))
+    return adjoint_conjugate(multiply(t, l).scaled((0, 1)), a, term_bound)
 
 
 DEFORM_CONVENTIONS = {

@@ -16,6 +16,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -201,6 +202,23 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _moments(state, names):
+    """Mean and sigma of each named coordinate axis, and the norm, of ``state``.
+
+    All of them come from one density: each axis's 1-D marginal gives its
+    mean and sigma = sqrt(max(E[u^2] - E[u]^2, 0)), and the total mass the
+    norm.  Returns ([(mean, sigma), ...] in the order of ``names``, norm).
+    """
+    rho = ps.joint_density(state, state.axis_names)
+    stats = []
+    for name in names:
+        m = rho.marginalize((name,))
+        u, w = m.values[0], m.array * m.measures[0]
+        mean = float(w @ u)
+        stats.append((mean, math.sqrt(max(float(w @ (u * u)) - mean * mean, 0.0))))
+    return stats, math.sqrt(rho.mass())
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -223,12 +241,8 @@ def _scenario_evolve(cfg, out, seed, manifest):
     snapshots = []
 
     def observer(step, snap):
-        t = (step + 1) * plan.dt
-        rows.append((
-            step + 1, t,
-            ps.expectation(snap, "x"), ps.expectation(snap, "p"),
-            ps.sigma(snap, "x"), ps.sigma(snap, "p"), snap.norm(),
-        ))
+        ((x_mean, sigma_x), (p_mean, sigma_p)), norm = _moments(snap, ("x", "p"))
+        rows.append((step + 1, (step + 1) * plan.dt, x_mean, p_mean, sigma_x, sigma_p, norm))
         if snapshot_every and (step + 1) % snapshot_every == 0:
             path = out / f"state_{step + 1:06d}.state"
             save_state(snap, path)
@@ -436,10 +450,11 @@ def _scenario_pulsed(cfg, out, seed, manifest):
     final = dyn.pulsed_propagator(initial, h_t, h_d, eps, t1, t_total, plan)
     save_state(final, out / "final.state")
     manifest.record(out / "final.state")
+    ((pointer_mean, _), (target_x_mean, _)), norm = _moments(final, ("X", "x"))
     payload = {
-        "pointer_mean": ps.expectation(final, "X"),
-        "target_x_mean": ps.expectation(final, "x"),
-        "norm": final.norm(),
+        "pointer_mean": pointer_mean,
+        "target_x_mean": target_x_mean,
+        "norm": norm,
         "eps": eps,
         "t1": t1,
         "t_total": t_total,

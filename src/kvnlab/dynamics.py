@@ -197,16 +197,6 @@ def _wrapped_cells(shape, axis, dim, shift):
     return np.flatnonzero(np.broadcast_to(outside, shape))
 
 
-def wrapped_shift_mass(prob, axis, dim, shift):
-    """Probability mass that the shear u -> u + shift along dimension ``dim``
-    wraps around ``axis``'s periodic range [vmin, vmax).
-
-    ``prob`` holds cell probabilities with ``axis``'s coordinates along
-    ``dim``; ``shift`` broadcasts against it and is constant along ``dim``.
-    """
-    return float(prob.ravel()[_wrapped_cells(prob.shape, axis, dim, shift)].sum())
-
-
 def _compile(f, axis, shape, check_wrap):
     """The phase array of ``f`` and, when guarded, the cells it wraps."""
     k = _along(axis.conj_coords(), f.axis, len(shape))

@@ -6,9 +6,9 @@ an exact shear,
 
     psi_after(x, p, X, P) = phi(x, p + P) * eta(X - x, P),
 
-implemented spectrally here and cross-validated against the split-operator
-propagator in dynamics.  The quantum counterpart lives on a 1D target and
-1D pointer with psi_after(x, X) = phi(x) * eta(X - x).
+applied by the shear engine of dynamics (couple_evolve).  The quantum
+counterpart lives on a 1D target and 1D pointer with
+psi_after(x, X) = phi(x) * eta(X - x).
 
 Readout distributions, relative-state (conditional) checks, and the
 operator family obtained by integrating out the device are all computed on
@@ -26,21 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    _WRAP_LIMIT,
-    HamiltonianSpec,
-    PropagationPlan,
-    kvn_evolve,
-    wrapped_shift_mass,
-)
-from .errors import ShiftOverflow, ZeroMassSlice
+from .dynamics import HamiltonianSpec, PropagationPlan, couple_evolve, kvn_evolve
+from .errors import ZeroMassSlice
 from .phasespace import (
     Axis,
     BipartiteState,
     Grid2D,
     PhaseState,
-    joint_density,
     marginal,
+    product_state,
     to_representation,
 )
 
@@ -95,53 +89,15 @@ def _require_matched(a: Axis, b: Axis, what):
         raise ValueError(f"{what}: lattices must share size and spacing")
 
 
-def _guard_shifts(target: PhaseState, device: PhaseState, lam_t=1.0):
-    """The shears p -> p - lam_t*P and X -> X + lam_t*x must keep all but a
-    negligible amount of probability inside the box."""
-    rho_t = joint_density(to_representation(target, "xp"))
-    rho_d = joint_density(to_representation(device, "xp"))
-    prob_t = rho_t.array * rho_t.cell_measure()
-    prob_d = rho_d.array * rho_d.cell_measure()
-    p_mass = np.outer(prob_t.sum(axis=0), prob_d.sum(axis=0))
-    wrap_p = wrapped_shift_mass(
-        p_mass, target.grid.p_axis, 0, -lam_t * rho_d.values[1][None, :]
-    )
-    if wrap_p > _WRAP_LIMIT:
-        raise ShiftOverflow(
-            f"momentum kick wraps {wrap_p:.3e} of the mass around the p range"
-        )
-    X_mass = np.outer(prob_d.sum(axis=1), prob_t.sum(axis=1))
-    wrap_X = wrapped_shift_mass(
-        X_mass, device.grid.x_axis, 0, lam_t * rho_t.values[0][None, :]
-    )
-    if wrap_X > _WRAP_LIMIT:
-        raise ShiftOverflow(
-            f"pointer shift wraps {wrap_X:.3e} of the mass around the X range"
-        )
-
-
 def von_neumann_couple(target: PhaseState, device: PhaseState) -> BipartiteState:
     """Unit-time pointer coupling applied to a product state.
 
-    Returns the 4D state with amplitude phi(x, p+P) * eta(X-x, P), built
-    spectrally (exact for sub-cell shifts); agrees with
-    dynamics.couple_evolve at t=1 to 1e-9.
+    Returns the 4D state with amplitude phi(x, p+P) * eta(X-x, P): the
+    product state propagated by dynamics.couple_evolve for lambda*t = 1,
+    spectral and so exact for sub-cell shifts.  Raises ShiftOverflow when
+    either shear would wrap more than 1e-6 of the probability around the box.
     """
-    _guard_shifts(target, device)
-    phi = to_representation(target, "x_pip")
-    eta = device.with_conj((True, False))  # (pi_X, P)
-    x = phi.axis_values(0)
-    pi_p = phi.axis_values(1)
-    pi_X = eta.axis_values(0)
-    P = eta.axis_values(1)
-    amp = (
-        phi.amp[:, :, None, None]
-        * eta.amp[None, None, :, :]
-        * np.exp(1j * pi_p[None, :, None, None] * P[None, None, None, :])
-        * np.exp(-1j * pi_X[None, None, :, None] * x[:, None, None, None])
-    )
-    out = BipartiteState(target.grid, device.grid, (False, True, True, False), amp)
-    return out.with_conj((False, False, False, False))
+    return couple_evolve(product_state(target, device), 1.0, 1.0)
 
 
 def readout(s: BipartiteState, axis: str, with_post_states=False) -> MeasurementRecord:

@@ -93,6 +93,30 @@ def dense_couple(state4, lam, t):
     return out
 
 
+def closed_form_couple(target, device):
+    """Unit-time pointer coupling phi(x, p+P) * eta(X-x, P) in closed form.
+
+    The product amplitude is built in the (x, pi_p, pi_X, P) representation,
+    where both shears are the single phase exp(i pi_p P - i pi_X x), and is
+    transformed back with phasespace's unitary transforms; no shear engine
+    is involved.
+    """
+    from kvnlab.phasespace import BipartiteState, to_representation
+
+    phi = to_representation(target, "x_pip")
+    eta = device.with_conj((True, False))  # (pi_X, P)
+    x, pi_p = phi.axis_values(0), phi.axis_values(1)
+    pi_X, P = eta.axis_values(0), eta.axis_values(1)
+    amp = (
+        phi.amp[:, :, None, None]
+        * eta.amp[None, None, :, :]
+        * np.exp(1j * pi_p[None, :, None, None] * P[None, None, None, :])
+        * np.exp(-1j * pi_X[None, None, :, None] * x[:, None, None, None])
+    )
+    out = BipartiteState(target.grid, device.grid, (False, True, True, False), amp)
+    return out.with_conj((False, False, False, False))
+
+
 def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitting="strang"):
     """Uncoupled 4D evolution one split step at a time.
 

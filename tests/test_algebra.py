@@ -171,6 +171,12 @@ def test_heisenberg_non_terminating():
         al.heisenberg_evolve(al.pi_x, l, term_bound=3)
 
 
+def test_heisenberg_at_time_zero_is_identity():
+    # the series for this L never terminates, but at t = 0 every term vanishes
+    l = al.multiply(al.x, al.multiply(al.pi_x, al.pi_x))
+    assert al.heisenberg_evolve(al.pi_x, l, t=0, term_bound=3) == al.pi_x
+
+
 def test_hbar_deform_conventions():
     half = Fraction(1, 2)
     assert al.hbar_deform(al.x, "half_minus_plus") == al.x - al.multiply(al.hbar, al.pi_p).scaled(half)

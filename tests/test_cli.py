@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kvnlab import cli
+from kvnlab import phasespace as ps
 from kvnlab.errors import ConfigError, MissingArtifact, ScenarioError
+from kvnlab.stateio import load_state
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -44,10 +46,54 @@ def test_run_evolve_snapshot_stream(tmp_path):
     names = sorted(f["name"] for f in manifest.files)
     assert "state_000005.state" in names and "state_000010.state" in names
 
-    from kvnlab.stateio import load_state
-
     snap = load_state(tmp_path / "snap" / "state_000005.state")
     assert abs(snap.norm() - 1.0) < 1e-9
+
+
+def _rows(path):
+    lines = path.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, (float(v) for v in line.split(",")))) for line in lines[1:]]
+
+
+def test_evolve_moments_match_phasespace_on_every_snapshot(tmp_path):
+    cfg = dict(EVOLVE_CFG, scenario="evolve", snapshot_every=1)
+    cli.run(cfg, tmp_path / "m")
+    rows = _rows(tmp_path / "m" / "trajectory.csv")
+    assert len(rows) == EVOLVE_CFG["plan"]["n_steps"]
+    for row in rows:
+        snap = load_state(tmp_path / "m" / f"state_{int(row['step']):06d}.state")
+        expected = {
+            "x_mean": ps.expectation(snap, "x"), "p_mean": ps.expectation(snap, "p"),
+            "sigma_x": ps.sigma(snap, "x"), "sigma_p": ps.sigma(snap, "p"),
+            "norm": snap.norm(),
+        }
+        for key, value in expected.items():
+            assert row[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+
+PULSED_CFG = {
+    "scenario": "pulsed",
+    "grid": {"n_x": 32, "n_p": 32, "x_min": -8.0, "x_max": 8.0,
+             "p_min": -4.0, "p_max": 4.0},
+    "target_state": {"kind": "gaussian", "x0": -1.0, "p0": 0.5,
+                     "sigma_x": 1.0, "sigma_p": 0.5},
+    "device_state": {"kind": "gaussian", "x0": 0.5, "p0": 0.0,
+                     "sigma_x": 1.0, "sigma_p": 0.5},
+    "target_hamiltonian": {"mass": 1.0},
+    "device_hamiltonian": {"mass": 1.0},
+    "eps": 0.5, "t1": 0.4, "t_total": 1.0,
+    "plan": {"dt": 0.05, "n_steps": 20},
+}
+
+
+def test_pulsed_moments_match_phasespace(tmp_path):
+    cli.run(PULSED_CFG, tmp_path / "pl")
+    payload = json.loads((tmp_path / "pl" / "pulsed.json").read_text())
+    final = load_state(tmp_path / "pl" / "final.state")
+    assert payload["pointer_mean"] == pytest.approx(ps.expectation(final, "X"), rel=0, abs=1e-12)
+    assert payload["target_x_mean"] == pytest.approx(ps.expectation(final, "x"), rel=0, abs=1e-12)
+    assert payload["norm"] == pytest.approx(final.norm(), rel=0, abs=1e-12)
 
 
 def test_run_evolve_point_state_trajectory(tmp_path):
