@@ -29,10 +29,8 @@ def save_state(state, path):
         fh.write(struct.pack(f"<{len(axes)}B", *[int(f) for f in flags]))
         for ax in axes:
             fh.write(struct.pack("<Qdd", ax.n, ax.vmin, ax.vmax))
-        data = np.empty(state.amp.shape + (2,), dtype="<f8")
-        data[..., 0] = state.amp.real
-        data[..., 1] = state.amp.imag
-        fh.write(data.tobytes(order="C"))
+        # little-endian complex128 in C order is the interleaved re/im layout
+        fh.write(np.ascontiguousarray(state.amp, dtype="<c16"))
 
 
 def load_state(path):

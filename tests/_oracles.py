@@ -168,3 +168,32 @@ def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitt
         else:
             amp = apply_v(apply_t(amp), 1.0)
     return amp
+
+
+def pulsed_three_calls(s, h_target, h_device, eps, t1, t_total, plan):
+    """The pulsed run as three engine programs: free flight, coupling, free flight."""
+    from kvnlab import dynamics as dyn
+
+    out = dyn.free_evolve_bipartite(s, h_target, h_device, t1, plan)
+    if eps != 0.0:
+        out = dyn.couple_evolve(out, 1.0, eps)
+    return dyn.free_evolve_bipartite(out, h_target, h_device, t_total - t1, plan)
+
+
+def save_state_interleaved(state, path):
+    """The state container written with an explicit re/im float64 interleave."""
+    import struct
+
+    from kvnlab.stateio import _ENDIAN_MARK, _MAGIC, _VERSION
+
+    axes = state.axes()
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<HIH", _VERSION, _ENDIAN_MARK, len(axes)))
+        fh.write(struct.pack(f"<{len(axes)}B", *[int(f) for f in state.conj_flags]))
+        for ax in axes:
+            fh.write(struct.pack("<Qdd", ax.n, ax.vmin, ax.vmax))
+        data = np.empty(state.amp.shape + (2,), dtype="<f8")
+        data[..., 0] = state.amp.real
+        data[..., 1] = state.amp.imag
+        fh.write(data.tobytes(order="C"))

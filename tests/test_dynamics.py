@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 
-from _oracles import dense_couple, dense_evolve, free_evolve_bipartite_steps
+from _oracles import dense_couple, dense_evolve, free_evolve_bipartite_steps, pulsed_three_calls
 
 
 @pytest.fixture
@@ -220,7 +225,7 @@ def test_free_bipartite_evolution_factorizes():
     h_d = dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.2, 0.0))
     # random states fill the box, so the wrap guard is off
     joint = ps.product_state(target, device)
-    step = dyn._split_step(joint.axes(), ((0, h_t), (2, h_d)), 0.05, "strang")
+    step = dyn._split_step(dyn._generators(joint.axes(), ((0, h_t), (2, h_d))), 0.05, "strang")
     joint = dyn._propagate(joint, [step] * 5, check_wrap=False)
     t_alone = dyn.kvn_evolve(target, h_t, dyn.PropagationPlan(0.05, 5), check_stability=False)
     d_alone = dyn.kvn_evolve(device, h_d, dyn.PropagationPlan(0.05, 5), check_stability=False)
@@ -272,12 +277,13 @@ def test_split_steps_fuse_without_observer():
     axes = ps.BipartiteState(_small_grid(), _small_grid(), (False,) * 4,
                              np.zeros((8,) * 4)).axes()
     free = dyn.HamiltonianSpec.free(1.0)
-    step = dyn._split_step(axes, ((0, free), (2, free)), 0.05, "strang")
+    step = dyn._split_step(dyn._generators(axes, ((0, free), (2, free))), 0.05, "strang")
     fused = dyn._fuse(step * 20)
     assert [f.axis for f in fused] == [0, 2]
     assert all(abs(f.tau - 1.0) < 1e-12 for f in fused)
     # V != 0: neighbouring Strang half kicks merge, nothing else does
-    step = dyn._split_step(axes[:2], ((0, dyn.HamiltonianSpec.harmonic()),), 0.05, "strang")
+    step = dyn._split_step(dyn._generators(axes[:2], ((0, dyn.HamiltonianSpec.harmonic()),)),
+                           0.05, "strang")
     fused = dyn._fuse(step * 20)
     assert [f.axis for f in fused] == [1] + [0, 1] * 20
     assert [f.tau for f in fused[2:-1:2]] == [0.05] * 19
@@ -293,7 +299,7 @@ def test_fused_free_flight_matches_step_loop(splitting, h_device):
     s = ps.BipartiteState(grid, grid, (False,) * 4, amp).normalized()
     h_t = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
     # random states fill the box, so the wrap guard is off
-    step = dyn._split_step(s.axes(), ((0, h_t), (2, h_device)), 0.05, splitting)
+    step = dyn._split_step(dyn._generators(s.axes(), ((0, h_t), (2, h_device))), 0.05, splitting)
     out = dyn._propagate(s, [step] * 10, check_wrap=False)
     ref = free_evolve_bipartite_steps(s, h_t, h_device, 0.5, 0.05, splitting)
     assert np.abs(out.amp - ref).max() < 1e-12
@@ -407,3 +413,145 @@ def test_pulsed_pointer_reads_position_at_pulse_time():
     out = dyn.pulsed_propagator(s, h_t, None, 1.0, t1, t_total, dyn.PropagationPlan(0.05, 1))
     expected = X0 + (x0 + p0 * t1)
     assert abs(ps.expectation(out, "X") - expected) < grid.dx
+
+
+class _CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("shape, axis, cores", [((32,) * 4, a, 2) for a in range(4)]
+                         + [((512, 512), a, 2) for a in range(2)]
+                         + [((32,) * 4, 1, 3), ((512, 512), 0, 3), ((256, 256), 0, 2)])
+def test_threaded_factor_is_bit_identical_to_serial(monkeypatch, shape, axis, cores):
+    rng = np.random.default_rng(axis)
+    nd = len(shape)
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = (ps.PhaseState(ps.Grid2D(*shape, -4.0, 4.0, -4.0, 4.0), "xp", amp) if nd == 2
+         else ps.BipartiteState(ps.Grid2D(32, 32, -4.0, 4.0, -4.0, 4.0),
+                                ps.Grid2D(32, 32, -4.0, 4.0, -4.0, 4.0), (False,) * 4, amp))
+    # one shift varies along every other axis, so its phase is cut with the
+    # array; the other is a constant, so its phase is not
+    full = 0.1 * rng.standard_normal(tuple(1 if i == axis else n for i, n in enumerate(shape)))
+    flat = np.full((1,) * nd, 0.3)
+    factors = [dyn._Shear(axis, full, 0.7, 0.2), dyn._Shear(axis, flat, 0.4)]
+    # the observer freezes the array after step 0, as a PhaseState would
+    steps = [factors, factors[:1]]
+
+    def run(pool):
+        monkeypatch.setattr(dyn, "_pool", pool)
+        seen = []
+        out = dyn._propagate(s, steps, lambda i, a: (a.setflags(write=False), seen.append(a)),
+                             check_wrap=False)
+        return out.amp.tobytes(), seen[0].tobytes()
+
+    serial = run((None, 1))
+    with _CountingPool(cores - 1) as pool:
+        threaded = run((pool, cores))
+    assert threaded == serial
+    assert pool.submitted == (3 * (cores - 1) if amp.size >= dyn._PARALLEL_MIN else 0)
+
+
+def _pulsed_pair():
+    grid = ps.Grid2D(32, 32, -8.0, 8.0, -4.0, 4.0)
+    return ps.product_state(ps.make_gaussian(grid, -1.0, 0.5, 1.0, 0.5),
+                            ps.make_gaussian(grid, 0.0, 0.0, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("h_t, h_d, eps, plan", [
+    (dyn.HamiltonianSpec.free(1.0), dyn.HamiltonianSpec.free(1.0), 0.5,
+     dyn.PropagationPlan(0.05, 20)),
+    (dyn.HamiltonianSpec.free(1.0), None, 0.5, dyn.PropagationPlan(0.1, 1)),
+    (dyn.HamiltonianSpec.harmonic(1.0, 0.5),
+     dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.1, 0.1)), 0.5,
+     dyn.PropagationPlan(0.2, 1)),
+    (dyn.HamiltonianSpec.harmonic(1.0, 0.5),
+     dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.1, 0.1)), 0.5,
+     dyn.PropagationPlan(0.2, 1, splitting="lie")),
+    (dyn.HamiltonianSpec.harmonic(1.0, 0.5), dyn.HamiltonianSpec.free(1.0), 0.0,
+     dyn.PropagationPlan(0.2, 1)),
+])
+def test_pulsed_program_matches_three_calls(h_t, h_d, eps, plan):
+    s = _pulsed_pair()
+    out = dyn.pulsed_propagator(s, h_t, h_d, eps, 0.4, 1.0, plan)
+    ref = pulsed_three_calls(s, h_t, h_d, eps, 0.4, 1.0, plan)
+    assert np.abs(out.amp - ref.amp).max() < 1e-13
+
+
+def test_pulsed_device_flight_fuses_across_coupling(monkeypatch):
+    applied = []
+    apply = dyn._apply
+    monkeypatch.setattr(dyn, "_apply", lambda src, dst, axis, phase: (
+        applied.append(axis), apply(src, dst, axis, phase)))
+    free = dyn.HamiltonianSpec.free(1.0)
+    dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
+    # target flight, whole device flight, kick, pointer shift, target flight
+    assert applied == [0, 2, 1, 2, 0]
+    applied.clear()
+    dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.0, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
+    assert applied == [0, 2]
+
+
+def test_pulsed_program_raises_each_factors_error():
+    grid = ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0)
+    s = ps.product_state(ps.make_point(grid, 1.0, 0.5), ps.make_point(grid, 0.0, 3.5))
+    h0 = dyn.HamiltonianSpec.zero()
+    plan = dyn.PropagationPlan(0.1, 1)
+    with pytest.raises(ShiftOverflow) as ref:
+        pulsed_three_calls(s, h0, h0, 2.0, 0.3, 1.0, plan)
+    with pytest.raises(ShiftOverflow, match="momentum kick wraps .* around the p range") as got:
+        dyn.pulsed_propagator(s, h0, h0, 2.0, 0.3, 1.0, plan)
+    assert str(got.value) == str(ref.value)
+
+    # the D1 flight, interrupted by a pulse
+    grid = ps.Grid2D(32, 32, -16.0, 16.0, -16.0, 16.0)
+    g = ps.make_gaussian(grid, 0.0, 6.0, 2.0, 2.0)
+    s = ps.product_state(g, g)
+    free = dyn.HamiltonianSpec.free(1.0)
+    plan = dyn.PropagationPlan(0.05, 1)
+    with pytest.raises(UnstablePlan) as ref:
+        pulsed_three_calls(s, free, free, 0.1, 2.5, 3.0, plan)
+    with pytest.raises(UnstablePlan, match="kinetic shear wraps .* around the x range") as got:
+        dyn.pulsed_propagator(s, free, free, 0.1, 2.5, 3.0, plan)
+    assert str(got.value) == str(ref.value)
+
+
+_FORK_SCRIPT = """
+import os, signal, sys, time
+import numpy as np
+from kvnlab import dynamics as dyn, phasespace as ps
+
+grid = ps.Grid2D(32, 32, -8.0, 8.0, -4.0, 4.0)
+s = ps.product_state(ps.make_gaussian(grid, -1.0, 0.5, 1.0, 0.5),
+                     ps.make_gaussian(grid, 0.0, 0.0, 1.0, 0.5))
+free = dyn.HamiltonianSpec.free(1.0)
+plan = dyn.PropagationPlan(0.05, 1)
+ref = dyn.free_evolve_bipartite(s, free, free, 0.5, plan)
+pid = os.fork()
+if pid == 0:
+    out = dyn.free_evolve_bipartite(s, free, free, 0.5, plan)
+    os._exit(0 if np.array_equal(out.amp, ref.amp) else 3)
+deadline = time.monotonic() + 30.0
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the forked child did not finish within 30 s")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_propagates_after_parent_used_pool():
+    src = str(Path(dyn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FORK_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=90)
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,8 @@ from kvnlab.errors import (
 )
 from kvnlab.stateio import export_density_csv, load_state, save_state
 
+from _oracles import save_state_interleaved
+
 
 @pytest.fixture
 def grid():
@@ -213,6 +215,21 @@ def test_state_container_round_trip(tmp_path, grid):
     save_state(pair, path4)
     loaded4 = load_state(path4)
     assert ps.l2_distance(pair, loaded4) == 0.0
+
+
+def test_state_container_bytes_match_interleaved_encoder(tmp_path, grid):
+    rng = np.random.default_rng(14)
+    s2 = ps.to_representation(random_state(grid, rng), "pix_p")
+    tg = ps.Grid2D(8, 8, -2, 2, -2, 2)
+    amp4 = rng.standard_normal((8,) * 4) + 1j * rng.standard_normal((8,) * 4)
+    s4 = ps.BipartiteState(tg, tg, (False, True, False, True), amp4)
+    transposed = random_state(grid, rng)
+    transposed.amp = transposed.amp.T
+    assert not transposed.amp.flags.c_contiguous
+    for i, s in enumerate((s2, s4, transposed)):
+        save_state(s, tmp_path / f"{i}.state")
+        save_state_interleaved(s, tmp_path / f"{i}.ref")
+        assert (tmp_path / f"{i}.state").read_bytes() == (tmp_path / f"{i}.ref").read_bytes()
 
 
 def test_state_container_rejects_foreign_files(tmp_path):
