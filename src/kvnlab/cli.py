@@ -167,8 +167,11 @@ class RunManifest:
     out_dir: str = ""
     files: list = field(default_factory=list)
 
-    def record(self, path: Path):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    def record(self, path: Path, digest=None):
+        """Add ``path`` with its sha256; ``digest`` is that of the bytes just
+        written to it (save_state returns one), else the file is read back."""
+        if digest is None:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
         self.files.append({"name": path.name, "sha256": digest})
 
     def write(self, out_dir: Path):
@@ -245,8 +248,7 @@ def _scenario_evolve(cfg, out, seed, manifest):
         rows.append((step + 1, (step + 1) * plan.dt, x_mean, p_mean, sigma_x, sigma_p, norm))
         if snapshot_every and (step + 1) % snapshot_every == 0:
             path = out / f"state_{step + 1:06d}.state"
-            save_state(snap, path)
-            snapshots.append(path)
+            snapshots.append((path, save_state(snap, path)))
 
     final = dyn.kvn_evolve(state, h, plan, observer=observer)
     boundary = ps.boundary_mass(final)
@@ -255,10 +257,9 @@ def _scenario_evolve(cfg, out, seed, manifest):
     _write_csv(out / "trajectory.csv",
                ("step", "t", "x_mean", "p_mean", "sigma_x", "sigma_p", "norm"), rows)
     manifest.record(out / "trajectory.csv")
-    save_state(final, out / "final.state")
-    manifest.record(out / "final.state")
-    for path in snapshots:
-        manifest.record(path)
+    manifest.record(out / "final.state", save_state(final, out / "final.state"))
+    for path, digest in snapshots:
+        manifest.record(path, digest)
 
 
 def _scenario_qm_compare(cfg, out, seed, manifest):
@@ -302,8 +303,7 @@ def _scenario_measure(cfg, out, seed, manifest):
         target_grid=repr(grid), device_grid=repr(grid), coupling_duration=1.0,
     )
     manifest.record(out / "readout.json")
-    save_state(after, out / "coupled.state")
-    manifest.record(out / "coupled.state")
+    manifest.record(out / "coupled.state", save_state(after, out / "coupled.state"))
 
     r1, r2 = ms.check_simultaneity(after, target, device)
     classical_inst = ms.pointer_instantiated_residual(after, target)
@@ -448,8 +448,7 @@ def _scenario_pulsed(cfg, out, seed, manifest):
 
     initial = ps.product_state(target, device)
     final = dyn.pulsed_propagator(initial, h_t, h_d, eps, t1, t_total, plan)
-    save_state(final, out / "final.state")
-    manifest.record(out / "final.state")
+    manifest.record(out / "final.state", save_state(final, out / "final.state"))
     ((pointer_mean, _), (target_x_mean, _)), norm = _moments(final, ("X", "x"))
     payload = {
         "pointer_mean": pointer_mean,

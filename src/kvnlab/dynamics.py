@@ -21,6 +21,14 @@ for the propagators' shears, ShiftOverflow for the pointer coupling.  The
 pulsed run is one such program, so its device flight, which commutes with
 the coupling, is one shear.
 
+Until the coupling, a product state stays a product.  product_state keeps
+the target and device factors; without an observer, the leading factors of
+a program that act within one subsystem run on that subsystem's 2D factor,
+each guarded with the 4D wrap mass: the 2D one times the other factor's
+mass.  The 4D amplitude is formed once, at the first factor that couples
+the two, in a buffer the remaining factors run in place on; a program with
+no coupling factor returns a product state again.
+
 A factor on an array of at least 2**17 elements runs on every usable core:
 the array is cut along another axis into one block per core, and the
 blocks run in a thread pool started by the first such factor.  Each block
@@ -53,7 +61,8 @@ from .errors import (
     UnstablePlan,
     UnsupportedHamiltonian,
 )
-from .phasespace import PhaseState, boundary_mass, l2_distance
+from . import phasespace
+from .phasespace import PhaseState, boundary_mass, l2_distance, product_state
 
 DEFORM_CONVENTIONS = {name: (float(a), float(b)) for name, (a, b) in algebra.DEFORM_CONVENTIONS.items()}
 
@@ -239,21 +248,64 @@ def _fuse(factors):
     return out
 
 
-def _wrapped_cells(shape, axis, dim, shift):
-    """Flat indices of the cells that u -> u + shift along ``dim`` carries
-    past an end of ``axis``; an edge cell counts for any shift towards its
-    edge, since a sub-cell spectral shift already wraps part of it."""
-    landed = _along(np.arange(axis.n), dim, len(shape)) + shift / axis.d
-    outside = (landed < 0) | (landed > axis.n - 1)
-    return np.flatnonzero(np.broadcast_to(outside, shape))
+def _edges(axis, dim, shift, ndim):
+    """Where u -> u + shift along ``dim`` carries cells past an end of ``axis``.
+
+    An edge cell counts for any shift towards its edge, since a sub-cell
+    spectral shift already wraps part of it.  At each end the wrapped cells
+    lie in a slab along ``dim`` as deep as the largest shift towards that
+    end.  Returns one (index, spec, weight) per non-empty slab: ``index``
+    cuts the slab out of an ``ndim``-axis array, ``spec`` sums the squares
+    of its float view over the axes the shift does not depend on, and
+    ``weight`` is 1 on the wrapped cells of what is left (doubled along the
+    last axis, whose float view interleaves re and im).
+    """
+    n = axis.n
+    u = np.arange(n)
+    step = shift / axis.d
+    low = int(np.count_nonzero(u + np.min(step) < 0))
+    high = max(low, n - int(np.count_nonzero(u + np.max(step) > n - 1)))
+    letters = "abcdefgh"[:ndim]
+    edges = []
+    for lo, hi in ((0, low), (high, n)):
+        if lo == hi:
+            continue
+        landed = _along(u[lo:hi], dim, ndim) + step
+        mask = (landed < 0) | (landed > n - 1)
+        index = [slice(None)] * ndim
+        index[dim] = slice(lo, hi)
+        # on each axis the shift depends on, only the span that reaches the edge
+        for i in range(ndim):
+            if i != dim and mask.shape[i] > 1:
+                hit = np.flatnonzero(mask.any(axis=tuple(j for j in range(ndim) if j != i)))
+                index[i] = slice(int(hit[0]), int(hit[-1]) + 1)
+                mask = mask[(slice(None),) * i + (index[i],)]
+        index = tuple(index)
+        keep = [i for i in range(ndim) if mask.shape[i] > 1]
+        weight = mask.reshape([mask.shape[i] for i in keep]).astype(float)
+        if ndim - 1 in keep:
+            weight = np.repeat(weight, 2, axis=-1)
+        spec = f"{letters},{letters}->" + "".join(letters[i] for i in keep)
+        edges.append((index, spec, weight))
+    return edges
 
 
-def _compile(f, axis, shape, check_wrap):
-    """The phase array of ``f`` and, when guarded, the cells it wraps."""
-    k = _along(axis.conj_coords(), f.axis, len(shape))
+def _edge_mass(amp, edges):
+    """Sum of |amp|^2 over the cells of ``edges``; ``amp`` is complex128."""
+    total = 0.0
+    for index, spec, weight in edges:
+        v = amp[index].view(np.float64)
+        total += float(np.vdot(np.einsum(spec, v, v), weight))
+    return total
+
+
+def _compile(f, axis, ndim, check_wrap):
+    """The phase array of ``f`` on an ``ndim``-axis field and, when
+    guarded, the edge slabs of its wrapped cells."""
+    k = _along(axis.conj_coords(), f.axis, ndim)
     arg = f.shift * k if not f.curv else f.shift * k + f.curv * k**2
-    cells = _wrapped_cells(shape, axis, f.axis, f.tau * f.shift) if check_wrap else None
-    return np.exp(-1j * f.tau * arg), cells
+    edges = _edges(axis, f.axis, f.tau * f.shift, ndim) if check_wrap else None
+    return np.exp(-1j * f.tau * arg), edges
 
 
 def _apply(src, dst, axis, phase):
@@ -289,33 +341,77 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
     Between factors the amplitude stays in the all-coordinate
     representation, so a factor is ifft(fft(a) * phase) along its axis.
     ``after_step(i, amp)`` runs after step i.  Without it, pure shears of
-    all steps fuse.  With ``check_wrap`` each factor first checks the wrap
-    mass of the density it is applied to and raises its ``error`` above 1e-6.
+    all steps fuse, and on a product state the leading factors that act
+    within one subsystem run on its 2D factors (see _local_head).  With
+    ``check_wrap`` each factor first checks the wrap mass of the density it
+    is applied to and raises its ``error`` above 1e-6.
     """
     coord = s.with_conj((False,) * len(s.conj_flags))
-    axes, amp = coord.axes(), coord.amp
-    if after_step is None and not any(f.curv for step in steps for f in step):
-        steps = [_fuse([f for step in steps for f in step])]
+    axes, names = coord.axes(), coord.axis_names
+    if after_step is None:
+        program = [f for step in steps for f in step]
+        steps = [program if any(f.curv for f in program) else _fuse(program)]
     compiled = {}
+
+    def shear(amp, f, axis, weight, name):
+        key = (amp.ndim, f.axis, id(f.shift), f.tau, f.curv)
+        if key not in compiled:
+            compiled[key] = _compile(f, axis, amp.ndim, check_wrap)
+        phase, edges = compiled[key]
+        if edges is not None:
+            mass = _edge_mass(amp, edges) * weight
+            if mass > _WRAP_LIMIT:
+                raise f.error(f"{f.label} wraps {mass:.3e} of the mass around the "
+                              f"{name} range")
+        # an array handed to an observer is frozen; write a fresh one then
+        out = amp if amp.flags.writeable else np.empty_like(amp)
+        _apply(amp, out, f.axis, phase)
+        return out
+
+    entry = None
+    if after_step is None and getattr(coord, "factors", None) is not None:
+        parts, rest = _local_head(coord, steps[0], shear)
+        if not rest:
+            t, d = coord.factors
+            return product_state(PhaseState(t.grid, "xp", parts[0]),
+                                 PhaseState(d.grid, "xp", parts[1]))
+        amp, steps = phasespace._outer(*parts), [rest]
+    else:
+        amp = entry = coord.amp
     for i, step in enumerate(steps):
         for f in step:
-            key = (f.axis, id(f.shift), f.tau, f.curv)
-            if key not in compiled:
-                compiled[key] = _compile(f, axes[f.axis], amp.shape, check_wrap)
-            phase, cells = compiled[key]
-            if cells is not None:
-                wrapped = amp.ravel()[cells]
-                mass = float(np.sum(wrapped.real**2 + wrapped.imag**2)) * coord.cell_measure()
-                if mass > _WRAP_LIMIT:
-                    raise f.error(f"{f.label} wraps {mass:.3e} of the mass around the "
-                                  f"{coord.axis_names[f.axis]} range")
-            # an array handed to an observer is frozen; write a fresh one then
-            out = amp if amp.flags.writeable else np.empty_like(amp)
-            _apply(amp, out, f.axis, phase)
-            amp = out
+            amp = shear(amp, f, axes[f.axis], coord.cell_measure(), names[f.axis])
         if after_step is not None:
             after_step(i, amp)
-    return coord if amp is coord.amp else coord._clone(coord.conj_flags, amp)
+    return coord if amp is entry else coord._clone(coord.conj_flags, amp)
+
+
+def _local_head(s, program, shear):
+    """Run the leading factors of ``program`` that act within one subsystem
+    on the 2D factors of the product state ``s``.
+
+    A factor qualifies when its axis and every axis its shift depends on lie
+    in (x, p) or in (X, P).  Its guard sees the 4D wrap mass: for a product,
+    the 2D wrap mass times the other factor's mass.  Returns the two factor
+    amplitudes and the rest of ``program``, which starts at the first
+    factor that couples the subsystems.
+    """
+    parts = [f.amp for f in s.factors]
+    # one 2D view per shift array, kept alive so the ids that key the
+    # compiled phases stay unique
+    views = {}
+    for n, f in enumerate(program):
+        side = next((k for k in (0, 1) if f.deps() <= {2 * k, 2 * k + 1}), None)
+        if side is None:
+            return parts, program[n:]
+        lo = 2 * side
+        if id(f.shift) not in views:
+            views[id(f.shift)] = f.shift.reshape(f.shift.shape[lo:lo + 2])
+        other = parts[1 - side]
+        weight = s.cell_measure() * float(np.vdot(other, other).real)
+        parts[side] = shear(parts[side], replace(f, axis=f.axis - lo, shift=views[id(f.shift)]),
+                            s.axes()[f.axis], weight, s.axis_names[f.axis])
+    return parts, []
 
 
 def _generators(axes, subsystems, hbar=0.0, a=-1.0, b=1.0):
@@ -445,7 +541,8 @@ def free_evolve_bipartite(s, h_target, h_device, duration, plan):
 
     Runs split steps of about ``plan.dt``.  Nothing observes the state in
     between, so the steps fuse: with V = 0 the flight is one shear per
-    subsystem.  Raises UnstablePlan when a shear would wrap more than 1e-6
+    subsystem.  A product state stays one: each subsystem's flight runs on
+    its 2D factor.  Raises UnstablePlan when a shear would wrap more than 1e-6
     of the probability around the periodic box.
     """
     if duration == 0.0:
@@ -460,7 +557,9 @@ def pulsed_propagator(s, h_target, h_device, eps, t1, t_total, plan):
     Composition order: U0(t_total - t1) * exp(-i eps (coupling generator)) * U0(t1),
     with the split steps of free_evolve_bipartite and the shears of
     couple_evolve, run as one engine program: the device flight commutes
-    with the coupling, so its two halves fuse.  Raises UnstablePlan when a
+    with the coupling, so its two halves fuse.  On a product state the
+    target flight to t1 and the device flight run on the 2D factors, and
+    the 4D amplitude is formed at the coupling.  Raises UnstablePlan when a
     free-flight shear, ShiftOverflow when a coupling shear would wrap more
     than 1e-6 of the probability around the periodic box.
     """

@@ -226,10 +226,16 @@ class PhaseState(_Field):
 
 
 class BipartiteState(_Field):
-    """Amplitude over the 4D (x, p, X, P) lattice of a target-device pair."""
+    """Amplitude over the 4D (x, p, X, P) lattice of a target-device pair.
+
+    A state made by product_state keeps its target and device factors,
+    all-coordinate PhaseStates, in ``factors`` and forms ``amp`` from them
+    on first read; any other state has ``factors = None``.
+    """
 
     axis_names = ("x", "p", "X", "P")
     conj_names = ("pi_x", "pi_p", "pi_X", "pi_P")
+    factors = None
 
     def __init__(self, target_grid: Grid2D, device_grid: Grid2D, conj, amp):
         self.target_grid = target_grid
@@ -241,6 +247,26 @@ class BipartiteState(_Field):
             device_grid.p_axis,
         )
         super().__init__(axes, conj, amp)
+
+    @classmethod
+    def _product(cls, target, device):
+        s = cls.__new__(cls)
+        s.target_grid, s.device_grid = target.grid, device.grid
+        s._axes, s._conj = target.axes() + device.axes(), (False,) * 4
+        s._amp, s.factors = None, (target, device)
+        return s
+
+    @property
+    def amp(self):
+        if self._amp is None:
+            amp = _outer(*(f.amp for f in self.factors))
+            amp.setflags(write=False)
+            self._amp = amp
+        return self._amp
+
+    @amp.setter
+    def amp(self, value):
+        self._amp, self.factors = value, None
 
     def _clone(self, conj, amp):
         return BipartiteState(self.target_grid, self.device_grid, conj, amp)
@@ -255,12 +281,20 @@ class BipartiteState(_Field):
         return f"BipartiteState(rep=({self.rep_name()}))"
 
 
+def _outer(target_amp, device_amp):
+    """A fresh, writeable target (x) device amplitude."""
+    return np.multiply.outer(target_amp, device_amp)
+
+
 def product_state(target: PhaseState, device: PhaseState) -> BipartiteState:
-    """Tensor product target (x) device, in the all-coordinate representation."""
-    t = to_representation(target, "xp")
-    d = to_representation(device, "xp")
-    amp = np.multiply.outer(t.amp, d.amp)
-    return BipartiteState(t.grid, d.grid, (False,) * 4, amp)
+    """Tensor product target (x) device, in the all-coordinate representation.
+
+    The state keeps both factors.  Its 4D amplitude is formed, and frozen
+    like every amplitude, the first time something reads it; until the
+    coupling, the propagators move the factors instead.
+    """
+    return BipartiteState._product(to_representation(target, "xp"),
+                                   to_representation(device, "xp"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ on any other; the marker detects a byte-order mismatch.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -20,17 +21,25 @@ _ENDIAN_MARK = 0x01020304
 
 
 def save_state(state, path):
-    """Serialize a PhaseState or BipartiteState to the binary container."""
+    """Serialize a PhaseState or BipartiteState to the binary container.
+
+    Returns the sha256 hex digest of the bytes written.
+    """
     axes = state.axes()
-    flags = state.conj_flags
+    header = b"".join([
+        _MAGIC,
+        struct.pack("<HIH", _VERSION, _ENDIAN_MARK, len(axes)),
+        struct.pack(f"<{len(axes)}B", *[int(f) for f in state.conj_flags]),
+        *(struct.pack("<Qdd", ax.n, ax.vmin, ax.vmax) for ax in axes),
+    ])
+    # little-endian complex128 in C order is the interleaved re/im layout
+    data = np.ascontiguousarray(state.amp, dtype="<c16")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HIH", _VERSION, _ENDIAN_MARK, len(axes)))
-        fh.write(struct.pack(f"<{len(axes)}B", *[int(f) for f in flags]))
-        for ax in axes:
-            fh.write(struct.pack("<Qdd", ax.n, ax.vmin, ax.vmax))
-        # little-endian complex128 in C order is the interleaved re/im layout
-        fh.write(np.ascontiguousarray(state.amp, dtype="<c16"))
+        fh.write(header)
+        fh.write(data)
+    digest = hashlib.sha256(header)
+    digest.update(data)
+    return digest.hexdigest()
 
 
 def load_state(path):

@@ -170,6 +170,16 @@ def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitt
     return amp
 
 
+def wrapped_mass(amp, axis, dim, shift):
+    """Sum of |amp|^2 over every cell that u -> u + shift along ``dim``
+    carries past an end of ``axis``, from a full-size mask of those cells."""
+    view = [1] * amp.ndim
+    view[dim] = axis.n
+    landed = np.arange(axis.n).reshape(view) + shift / axis.d
+    outside = np.broadcast_to((landed < 0) | (landed > axis.n - 1), amp.shape)
+    return float(np.sum(np.abs(amp[outside]) ** 2))
+
+
 def pulsed_three_calls(s, h_target, h_device, eps, t1, t_total, plan):
     """The pulsed run as three engine programs: free flight, coupling, free flight."""
     from kvnlab import dynamics as dyn

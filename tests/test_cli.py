@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -94,6 +95,29 @@ def test_pulsed_moments_match_phasespace(tmp_path):
     assert payload["pointer_mean"] == pytest.approx(ps.expectation(final, "X"), rel=0, abs=1e-12)
     assert payload["target_x_mean"] == pytest.approx(ps.expectation(final, "x"), rel=0, abs=1e-12)
     assert payload["norm"] == pytest.approx(final.norm(), rel=0, abs=1e-12)
+
+
+def test_pulsed_run_forms_one_outer_product(monkeypatch, tmp_path):
+    made, formed = [], []
+    product_state, outer = ps.product_state, ps._outer
+    monkeypatch.setattr(ps, "product_state", lambda t, d: made.append(product_state(t, d))
+                        or made[-1])
+    monkeypatch.setattr(ps, "_outer", lambda t, d: formed.append((t, d)) or outer(t, d))
+    cli.run(PULSED_CFG, tmp_path / "pl")
+    # the one 4D amplitude is formed from the flown factors, at the coupling
+    (initial,) = made
+    ((t, d),) = formed
+    assert t is not initial.factors[0].amp and d is not initial.factors[1].amp
+
+
+@pytest.mark.parametrize("cfg", [dict(EVOLVE_CFG, scenario="evolve", snapshot_every=5),
+                                 PULSED_CFG], ids=["evolve", "pulsed"])
+def test_manifest_digests_match_files(tmp_path, cfg):
+    manifest = cli.run(cfg, tmp_path / "out")
+    assert any(f["name"].endswith(".state") for f in manifest.files)
+    for f in manifest.files:
+        data = (tmp_path / "out" / f["name"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == f["sha256"], f["name"]
 
 
 def test_run_evolve_point_state_trajectory(tmp_path):

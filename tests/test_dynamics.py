@@ -12,7 +12,8 @@ from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 
-from _oracles import dense_couple, dense_evolve, free_evolve_bipartite_steps, pulsed_three_calls
+from _oracles import (dense_couple, dense_evolve, free_evolve_bipartite_steps,
+                      pulsed_three_calls, wrapped_mass)
 
 
 @pytest.fixture
@@ -191,10 +192,28 @@ def test_unstable_plan_detected():
 def test_sub_cell_shift_guard_is_symmetric():
     axis = ps.Axis(8, -4.0, 4.0)
     prob = np.full(8, 1.0 / 8)
+    amp = np.sqrt(prob).astype(complex)
     for frac in (0.3, -0.3):
-        cells = dyn._wrapped_cells(prob.shape, axis, 0, frac * axis.d)
-        assert prob[cells].sum() == pytest.approx(1.0 / 8)
-    assert prob[dyn._wrapped_cells(prob.shape, axis, 0, 0.0)].sum() == 0.0
+        edges = dyn._edges(axis, 0, frac * axis.d, 1)
+        assert dyn._edge_mass(amp, edges) == pytest.approx(1.0 / 8)
+    assert dyn._edge_mass(amp, dyn._edges(axis, 0, 0.0, 1)) == 0.0
+
+
+@pytest.mark.parametrize("shape, dim, dep, cells", [
+    ((16, 16), 0, 1, 3.5), ((16, 16), 1, 0, 0.4), ((8, 8, 8, 8), 1, 3, 2.5),
+    ((8, 8, 8, 8), 2, 0, 1.2), ((8, 8, 8, 8), 3, 2, 0.7), ((8, 8, 8, 8), 0, 1, 20.0),
+])
+def test_edge_slabs_hold_every_wrapped_cell(shape, dim, dep, cells):
+    rng = np.random.default_rng(dim + 4 * dep)
+    axis = ps.Axis(shape[dim], -4.0, 4.0)
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # shifts of both signs, up to ``cells`` cells; 20 cells wraps the whole axis both ways
+    view = [1] * len(shape)
+    view[dep] = shape[dep]
+    shift = cells * axis.d * rng.uniform(-1.0, 1.0, shape[dep]).reshape(view)
+    for s in (shift, np.maximum(shift, 0.0), np.minimum(shift, 0.0)):
+        got = dyn._edge_mass(amp, dyn._edges(axis, dim, s, len(shape)))
+        assert got == pytest.approx(wrapped_mass(amp, axis, dim, s), rel=1e-12)
 
 
 def test_qm_evolve_matches_dense_deformed_oracle():
@@ -463,7 +482,7 @@ def _pulsed_pair():
                             ps.make_gaussian(grid, 0.0, 0.0, 1.0, 0.5))
 
 
-@pytest.mark.parametrize("h_t, h_d, eps, plan", [
+_PULSED_CASES = [
     (dyn.HamiltonianSpec.free(1.0), dyn.HamiltonianSpec.free(1.0), 0.5,
      dyn.PropagationPlan(0.05, 20)),
     (dyn.HamiltonianSpec.free(1.0), None, 0.5, dyn.PropagationPlan(0.1, 1)),
@@ -475,7 +494,10 @@ def _pulsed_pair():
      dyn.PropagationPlan(0.2, 1, splitting="lie")),
     (dyn.HamiltonianSpec.harmonic(1.0, 0.5), dyn.HamiltonianSpec.free(1.0), 0.0,
      dyn.PropagationPlan(0.2, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("h_t, h_d, eps, plan", _PULSED_CASES)
 def test_pulsed_program_matches_three_calls(h_t, h_d, eps, plan):
     s = _pulsed_pair()
     out = dyn.pulsed_propagator(s, h_t, h_d, eps, 0.4, 1.0, plan)
@@ -483,18 +505,114 @@ def test_pulsed_program_matches_three_calls(h_t, h_d, eps, plan):
     assert np.abs(out.amp - ref.amp).max() < 1e-13
 
 
+@pytest.mark.parametrize("h_t, h_d, eps, plan", _PULSED_CASES)
+def test_pulsed_product_path_matches_materialized_state(h_t, h_d, eps, plan):
+    # the three-call oracle takes the product path too; the materialized
+    # state, with no factors, runs every factor on the 4D array
+    s = _pulsed_pair()
+    out = dyn.pulsed_propagator(s, h_t, h_d, eps, 0.4, 1.0, plan)
+    ref = dyn.pulsed_propagator(_materialized(s), h_t, h_d, eps, 0.4, 1.0, plan)
+    assert ref.factors is None
+    assert np.abs(out.amp - ref.amp).max() < 1e-13
+
+
+def _materialized(s):
+    """The product state ``s`` as a plain 4D amplitude, without its factors."""
+    t, d = s.factors
+    return ps.BipartiteState(t.grid, d.grid, (False,) * 4, np.multiply.outer(t.amp, d.amp))
+
+
+def test_free_flight_of_product_is_product_of_flights():
+    s = _pulsed_pair()
+    h_t = dyn.HamiltonianSpec.harmonic(1.0, 0.5)
+    h_d = dyn.HamiltonianSpec(mass=2.0, potential=(0.0, 0.1, 0.1))
+    plan = dyn.PropagationPlan(0.2, 1)
+    out = dyn.free_evolve_bipartite(s, h_t, h_d, 1.0, plan)
+    assert out.factors is not None
+    ref = dyn.free_evolve_bipartite(_materialized(s), h_t, h_d, 1.0, plan)
+    assert ref.factors is None
+    assert np.abs(out.amp - ref.amp).max() < 1e-13
+
+
+def _raised(run, s):
+    try:
+        run(s)
+    except (ShiftOverflow, UnstablePlan) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_WIDE = ps.Grid2D(32, 32, -16.0, 16.0, -16.0, 16.0)
+_PAIR = ps.Grid2D(32, 32, -8.0, 8.0, -4.0, 4.0)
+_FREE = dyn.HamiltonianSpec.free(1.0)
+
+
+def _flight(duration, h_target=_FREE):
+    return lambda s: dyn.free_evolve_bipartite(s, h_target, _FREE, duration,
+                                               dyn.PropagationPlan(duration, 1))
+
+
+def _scaled(state, factor):
+    return ps.PhaseState(state.grid, "xp", factor * state.amp)
+
+
+# (target, device, run, error, axis named in its message); the last two
+# cases wrap 9.4e-7 and 2.2e-6 of the target's own mass, so only the device
+# mass (4 and 1/4) decides whether the 4D wrap mass passes 1e-6
+_WRAP_CASES = {
+    "D1 target flight": (lambda: ps.make_gaussian(_WIDE, 0.0, 6.0, 2.0, 2.0),
+                         lambda: ps.make_gaussian(_WIDE, 0.0, 6.0, 2.0, 2.0),
+                         _flight(3.0), UnstablePlan, "x"),
+    "device flight": (lambda: ps.make_gaussian(_WIDE, 0.0, 0.0, 2.0, 2.0),
+                      lambda: ps.make_gaussian(_WIDE, 0.0, 6.0, 2.0, 2.0),
+                      _flight(3.0, h_target=None), UnstablePlan, "X"),
+    "kick": (lambda: ps.make_point(ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0), 1.0, 0.5),
+             lambda: ps.make_point(ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0), 0.0, 3.5),
+             lambda s: dyn.pulsed_propagator(s, dyn.HamiltonianSpec.zero(),
+                                             dyn.HamiltonianSpec.zero(), 2.0, 0.3, 1.0,
+                                             dyn.PropagationPlan(0.1, 1)),
+             ShiftOverflow, "p"),
+    "device of mass 4": (lambda: ps.make_gaussian(_PAIR, 1.0, 1.0, 1.0, 0.5),
+                         lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 0.0, 1.0, 0.5), 2.0),
+                         _flight(1.1), UnstablePlan, "x"),
+    "device of mass 1/4": (lambda: ps.make_gaussian(_PAIR, 1.0, 1.0, 1.0, 0.5),
+                           lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 0.0, 1.0, 0.5), 0.5),
+                           _flight(1.2), None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRAP_CASES))
+def test_product_path_raises_as_materialized_state(case):
+    target, device, run, error, axis = _WRAP_CASES[case]
+    s = ps.product_state(target(), device())
+    got = _raised(run, s)
+    assert got == _raised(run, _materialized(s))
+    if error is None:
+        assert got is None
+    else:
+        assert got[0] is error
+        assert "wraps" in got[1] and got[1].endswith(f"around the {axis} range")
+
+
 def test_pulsed_device_flight_fuses_across_coupling(monkeypatch):
     applied = []
     apply = dyn._apply
     monkeypatch.setattr(dyn, "_apply", lambda src, dst, axis, phase: (
-        applied.append(axis), apply(src, dst, axis, phase)))
+        applied.append((src, axis)), apply(src, dst, axis, phase)))
     free = dyn.HamiltonianSpec.free(1.0)
-    dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
-    # target flight, whole device flight, kick, pointer shift, target flight
-    assert applied == [0, 2, 1, 2, 0]
+    s = _pulsed_pair()
+    t, d = s.factors
+    dyn.pulsed_propagator(s, free, free, 0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
+    (a0, axis0), (a1, axis1), *coupled = applied
+    # the target flight to t1 and the whole device flight run on the 2D factors
+    assert (a0 is t.amp, axis0, a1 is d.amp, axis1) == (True, 0, True, 0)
+    # kick, pointer shift and target flight run on the 4D array
+    assert [(a.shape, axis) for a, axis in coupled] == [((32,) * 4, 1), ((32,) * 4, 2),
+                                                        ((32,) * 4, 0)]
     applied.clear()
-    dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.0, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
-    assert applied == [0, 2]
+    out = dyn.pulsed_propagator(s, free, free, 0.0, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
+    assert [(a.shape, axis) for a, axis in applied] == [((32, 32), 0), ((32, 32), 0)]
+    assert out.factors is not None
 
 
 def test_pulsed_program_raises_each_factors_error():

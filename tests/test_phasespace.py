@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -183,6 +184,17 @@ def test_product_state_marginals_factorize(grid):
     assert np.abs(mX - ps.joint_density(b).array).max() < 1e-9
 
 
+def test_product_state_forms_frozen_amplitude_on_first_read(grid):
+    a = ps.make_gaussian(grid, 0.5, 0.0, 1.0, 1.0)
+    b = ps.to_representation(ps.make_gaussian(grid, -0.5, 1.0, 0.8, 0.9), "pix_p")
+    joint = ps.product_state(a, b)
+    t, d = joint.factors
+    assert (t.rep, d.rep) == ("xp", "xp")
+    amp = joint.amp
+    assert joint.amp is amp and not amp.flags.writeable
+    assert np.array_equal(amp, np.multiply.outer(t.amp, d.amp))
+
+
 def test_conditional_of_product_equals_marginal(grid):
     a = ps.make_gaussian(grid, 0.5, 0.0, 1.0, 1.0)
     b = ps.make_gaussian(grid, -0.5, 1.0, 0.8, 0.9)
@@ -230,6 +242,16 @@ def test_state_container_bytes_match_interleaved_encoder(tmp_path, grid):
         save_state(s, tmp_path / f"{i}.state")
         save_state_interleaved(s, tmp_path / f"{i}.ref")
         assert (tmp_path / f"{i}.state").read_bytes() == (tmp_path / f"{i}.ref").read_bytes()
+
+
+def test_save_state_returns_digest_of_bytes_written(tmp_path, grid):
+    rng = np.random.default_rng(15)
+    tg = ps.Grid2D(8, 8, -2, 2, -2, 2)
+    pair = ps.product_state(ps.make_point(tg, 0.0, 0.0),
+                            ps.make_point(tg, 0.5, -0.5))
+    for i, s in enumerate((ps.to_representation(random_state(grid, rng), "x_pip"), pair)):
+        path = tmp_path / f"{i}.state"
+        assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_state_container_rejects_foreign_files(tmp_path):
