@@ -29,7 +29,7 @@ from . import measurement as ms
 from . import phasespace as ps
 from . import uncertainty as un
 from .errors import ConfigError, KvnLabError, MissingArtifact, ScenarioError
-from .stateio import save_state
+from .stateio import save_state, write_csv
 
 SCENARIOS = (
     "evolve", "qm_compare", "measure", "kraus", "uncertainty",
@@ -115,7 +115,7 @@ def _parse_state(cfg, path, grid):
 
 
 def _parse_hamiltonian(cfg, path):
-    _reject_unknown(cfg, path, ("mass", "kinetic", "potential", "coupling"))
+    _reject_unknown(cfg, path, ("mass", "kinetic", "potential"))
     mass = _value(cfg, path, "mass", float)
     if mass <= 0:
         _fail(f"{path}.mass", f"must be positive, got {mass:g}")
@@ -124,8 +124,6 @@ def _parse_hamiltonian(cfg, path):
         if key in cfg:
             seq = _value(cfg, path, key, list)
             kwargs[key] = tuple(float(v) for v in seq)
-    if "coupling" in cfg:
-        kwargs["coupling"] = _value(cfg, path, "coupling", float)
     try:
         return dyn.HamiltonianSpec(**kwargs)
     except KvnLabError as exc:
@@ -198,13 +196,6 @@ def _hash_config(cfg, seed):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
 def _moments(state, names):
     """Mean and sigma of each named coordinate axis, and the norm, of ``state``.
 
@@ -254,8 +245,8 @@ def _scenario_evolve(cfg, out, seed, manifest):
     boundary = ps.boundary_mass(final)
     if boundary > 1e-6:
         print(f"warning: boundary mass {boundary:.3e} exceeds 1e-6", file=sys.stderr)
-    _write_csv(out / "trajectory.csv",
-               ("step", "t", "x_mean", "p_mean", "sigma_x", "sigma_p", "norm"), rows)
+    write_csv(out / "trajectory.csv",
+              ("step", "t", "x_mean", "p_mean", "sigma_x", "sigma_p", "norm"), rows)
     manifest.record(out / "trajectory.csv")
     manifest.record(out / "final.state", save_state(final, out / "final.state"))
     for path, digest in snapshots:
@@ -275,7 +266,7 @@ def _scenario_qm_compare(cfg, out, seed, manifest):
         state, h, plan.dt * plan.n_steps, hbars,
         n_steps=plan.n_steps, convention=convention,
     )
-    _write_csv(out / "scan.csv", ("hbar", "l2_deviation"), scan)
+    write_csv(out / "scan.csv", ("hbar", "l2_deviation"), scan)
     manifest.record(out / "scan.csv")
 
 
@@ -348,11 +339,9 @@ def _scenario_kraus(cfg, out, seed, manifest):
     joint = ps.marginal(after, axes)
     l1 = float(np.abs(probs - joint.array * joint.cell_measure()).sum())
 
-    rows = []
-    for a, va in enumerate(family.label_values[0]):
-        for b, vb in enumerate(family.label_values[1]):
-            rows.append((float(va), float(vb), float(probs[a, b])))
-    _write_csv(out / "labels.csv", (axes[0], axes[1], "probability"), rows)
+    va, vb = np.meshgrid(*family.label_values, indexing="ij")
+    write_csv(out / "labels.csv", (axes[0], axes[1], "probability"),
+              zip(va.ravel(), vb.ravel(), probs.ravel()))
     manifest.record(out / "labels.csv")
 
     payload = {
@@ -526,8 +515,8 @@ def emit_plot_data(manifest: RunManifest, kind: str) -> Path:
             raise MissingArtifact(f"{src} not produced by this run")
         rows = _read_csv(src)
         path = out / "plot_trajectory.csv"
-        _write_csv(path, ("t", "x_mean", "p_mean"),
-                   [(r["t"], r["x_mean"], r["p_mean"]) for r in rows])
+        write_csv(path, ("t", "x_mean", "p_mean"),
+                  [(r["t"], r["x_mean"], r["p_mean"]) for r in rows])
         return path
     if kind == "distribution":
         src = out / "readout.csv"
@@ -537,16 +526,16 @@ def emit_plot_data(manifest: RunManifest, kind: str) -> Path:
         values = [r["value"] for r in rows]
         dv = values[1] - values[0] if len(values) > 1 else 1.0
         path = out / "plot_distribution.csv"
-        _write_csv(path, ("value", "density"),
-                   [(r["value"], r["probability"] / dv) for r in rows])
+        write_csv(path, ("value", "density"),
+                  [(r["value"], r["probability"] / dv) for r in rows])
         return path
     src = out / "uncertainty.csv"
     if not src.exists():
         raise MissingArtifact(f"{src} not produced by this run")
     rows = _read_csv(src)
     path = out / "plot_inequality_sweep.csv"
-    _write_csv(path, ("t", "slack_ozawa_like"),
-               [(r["t"], r["slack_ozawa_like"]) for r in rows])
+    write_csv(path, ("t", "slack_ozawa_like"),
+              [(r["t"], r["slack_ozawa_like"]) for r in rows])
     return path
 
 

@@ -109,17 +109,16 @@ def _executor():
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Separable quadratic Hamiltonian T(p) + V(x), optional bilinear coupling.
+    """Separable quadratic Hamiltonian T(p) + V(x) of one subsystem.
 
     ``kinetic`` and ``potential`` are coefficient triples (c0, c1, c2) of
-    c0 + c1*u + c2*u^2; kinetic defaults to p^2/(2*mass).  ``coupling`` is
-    the strength of a single lambda*x*P target-device term.
+    c0 + c1*u + c2*u^2; kinetic defaults to p^2/(2*mass).  The pointer
+    coupling lambda*x*P between two subsystems is applied by couple_evolve.
     """
 
     mass: float = 1.0
     kinetic: tuple = None
     potential: tuple = (0.0, 0.0, 0.0)
-    coupling: float = None
 
     def __post_init__(self):
         if not self.mass > 0:
@@ -133,8 +132,6 @@ class HamiltonianSpec:
                 raise UnsupportedHamiltonian(f"{name} degree above 2 is not supported")
             coeffs = coeffs + (0.0,) * (3 - len(coeffs))
             object.__setattr__(self, name, coeffs)
-        if self.coupling is not None:
-            object.__setattr__(self, "coupling", float(self.coupling))
 
     @classmethod
     def free(cls, mass=1.0):
@@ -496,8 +493,6 @@ def kvn_evolve(s, h, plan, observer=None, check_stability=True):
     """
     if plan.hbar != 0.0:
         raise ValueError("kvn_evolve requires a plan with hbar=0")
-    if h.coupling is not None:
-        raise IllegalHamiltonian("coupled Hamiltonians need a bipartite state")
     return _evolve_2d(s, h, plan, 0.0, -1.0, 1.0, observer, check_stability)
 
 
@@ -511,8 +506,6 @@ def qm_evolve(s, h, plan, convention="full_appendixE", observer=None, check_stab
     """
     if convention not in DEFORM_CONVENTIONS:
         raise ValueError(f"unknown deformation convention {convention!r}")
-    if h.coupling is not None:
-        raise IllegalHamiltonian("coupled Hamiltonians need a bipartite state")
     if plan.hbar == 0.0:
         return kvn_evolve(s, h, PropagationPlan(plan.dt, plan.n_steps, plan.splitting, 0.0),
                           observer, check_stability)

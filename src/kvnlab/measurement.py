@@ -33,10 +33,12 @@ from .phasespace import (
     BipartiteState,
     Grid2D,
     PhaseState,
+    conditional,
     marginal,
     product_state,
     to_representation,
 )
+from .stateio import write_csv
 
 _MASS_FLOOR = 1e-10
 
@@ -70,10 +72,7 @@ class MeasurementRecord:
             raise ValueError(f"probabilities must be a distribution (sum={total})")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("value,probability\n")
-            for v, pr in zip(self.values, self.probabilities):
-                fh.write(f"{v:.17g},{pr:.17g}\n")
+        write_csv(path, ("value", "probability"), zip(self.values, self.probabilities))
 
     def to_json(self, path, **metadata):
         payload = dict(metadata)
@@ -106,7 +105,8 @@ def readout(s: BipartiteState, axis: str, with_post_states=False) -> Measurement
     Probabilities are the marginal density times the cell measure.  When
     ``with_post_states`` is set, each readout cell above the mass floor gets
     the conditional target state (density-level: amplitude sqrt(density),
-    zero phase); cells below the floor get None.
+    zero phase, as post_state), all cut from one (x, p, axis) density;
+    cells below the floor get None.
     """
     if axis not in ("X", "P", "pi_X", "pi_P"):
         raise ValueError(f"not a device axis: {axis!r}")
@@ -114,29 +114,36 @@ def readout(s: BipartiteState, axis: str, with_post_states=False) -> Measurement
     probs = dens.array * dens.measures[0]
     record = MeasurementRecord(axis, dens.values[0], probs)
     if with_post_states:
-        posts = []
-        for value, pr in zip(record.values, record.probabilities):
-            posts.append(None if pr <= 1e-12 else post_state(s, axis, value))
-        record.post_states = posts
+        amps = np.sqrt(marginal(s, ("x", "p", axis)).array)
+        record.post_states = [
+            None if pr <= 1e-12 else PhaseState(s.target_grid, "xp", amps[..., k]).normalized()
+            for k, pr in enumerate(probs)
+        ]
     return record
 
 
 def post_state(s: BipartiteState, axis: str, value) -> PhaseState:
     """Conditional target state given one device-axis cell (density-level)."""
-    from .phasespace import conditional
-
     cond = conditional(s, axis, value).marginalize(("x", "p"))
     amp = np.sqrt(np.maximum(cond.array, 0.0))
     return PhaseState(s.target_grid, "xp", amp).normalized()
 
 
-def _shift_cells(value, spacing):
-    k = value / spacing
-    return int(round(k))
+def _shifted_residual(joint, values, measures, ref, sign, mass_floor):
+    """Largest L1 gap between a row conditional and a shifted reference.
 
-
-def _l1(a, b, measure):
-    return float(np.abs(a - b).sum()) * measure
+    ``joint[i, u]`` is a density over a conditioning cell i, at
+    ``values[i]``, and a conditioned cell u; ``measures`` are their cell
+    measures.  Every row whose mass exceeds ``mass_floor`` is normalized
+    and compared with ``ref`` moved by sign * values[i], in whole cells of
+    the conditioned axis.
+    """
+    marg = joint.sum(axis=1) * measures[1]
+    keep = marg * measures[0] > mass_floor
+    shifts = sign * np.rint(values[keep] / measures[1]).astype(int)
+    u = np.arange(joint.shape[1])
+    gap = np.abs(joint[keep] / marg[keep, None] - ref[(u - shifts[:, None]) % len(u)])
+    return float(gap.sum(axis=1).max(initial=0.0)) * measures[1]
 
 
 def check_simultaneity(
@@ -159,28 +166,11 @@ def check_simultaneity(
     ref_X = marginal(device_init, ("x",))
     ref_p = marginal(target_init, ("p",))
 
-    joint_xX = marginal(s_after, ("x", "X"))
-    x_marg = joint_xX.marginalize(("x",))
-    res1 = 0.0
-    for i, xv in enumerate(joint_xX.values[0]):
-        mass = x_marg.array[i] * x_marg.measures[0]
-        if mass <= mass_floor:
-            continue
-        cond = joint_xX.array[i, :] / x_marg.array[i]
-        shifted = np.roll(ref_X.array, _shift_cells(xv, ref_X.measures[0]))
-        res1 = max(res1, _l1(cond, shifted, ref_X.measures[0]))
-
-    joint_pP = marginal(s_after, ("p", "P"))
-    P_marg = joint_pP.marginalize(("P",))
-    res2 = 0.0
-    for j, Pv in enumerate(joint_pP.values[1]):
-        mass = P_marg.array[j] * P_marg.measures[0]
-        if mass <= mass_floor:
-            continue
-        cond = joint_pP.array[:, j] / P_marg.array[j]
-        shifted = np.roll(ref_p.array, -_shift_cells(Pv, ref_p.measures[0]))
-        res2 = max(res2, _l1(cond, shifted, ref_p.measures[0]))
-
+    xX = marginal(s_after, ("x", "X"))
+    res1 = _shifted_residual(xX.array, xX.values[0], xX.measures, ref_X.array, 1, mass_floor)
+    pP = marginal(s_after, ("p", "P"))
+    res2 = _shifted_residual(pP.array.T, pP.values[1], pP.measures[::-1], ref_p.array, -1,
+                             mass_floor)
     return res1, res2
 
 
@@ -196,23 +186,13 @@ def pointer_instantiated_residual(
     still equals the shifted initial p-marginal.  Classically this survives
     the readout; it is the probe the quantum model fails.
     """
-    from .phasespace import conditional
-
     ref_p = marginal(target_init, ("p",))
     pointer = marginal(s_after, ("X",))
     X0 = pointer.values[0][int(np.argmax(pointer.array))]
     rest = conditional(s_after, "X", X0)  # density over (x, p, P)
-    joint_pP = rest.marginalize(("p", "P"))
-    P_marg = joint_pP.marginalize(("P",))
-    worst = 0.0
-    for j, Pv in enumerate(joint_pP.values[1]):
-        mass = P_marg.array[j] * P_marg.measures[0]
-        if mass <= mass_floor:
-            continue
-        cond = joint_pP.array[:, j] / P_marg.array[j]
-        shifted = np.roll(ref_p.array, -_shift_cells(Pv, ref_p.measures[0]))
-        worst = max(worst, _l1(cond, shifted, ref_p.measures[0]))
-    return worst
+    pP = rest.marginalize(("p", "P"))
+    return _shifted_residual(pP.array.T, pP.values[1], pP.measures[::-1], ref_p.array, -1,
+                             mass_floor)
 
 
 def free_particle_as_measurement(s: PhaseState, mass, t) -> MeasurementRecord:
@@ -259,19 +239,6 @@ class KrausOperator:
         work = phi.with_conj(self.family.work_flags)
         return work._clone(self.family.work_flags, self.apply_raw(work.amp))
 
-    def dense(self):
-        """Kernel as a dense matrix on the flattened target lattice."""
-        n = self.family.grid.n_x * self.family.grid.n_p
-        shape = (self.family.grid.n_x, self.family.grid.n_p)
-        out = np.zeros((n, n), dtype=np.complex128)
-        basis = np.zeros(shape, dtype=np.complex128)
-        flat = basis.reshape(-1)
-        for col in range(n):
-            flat[col] = 1.0
-            out[:, col] = self.apply_raw(basis).reshape(-1)
-            flat[col] = 0.0
-        return out
-
 
 class KrausFamily:
     """Complete indexed family over one label representation.
@@ -281,6 +248,13 @@ class KrausFamily:
     exact resolution of identity).  The printed closed forms for two of the
     mixed representations disagree with the unitary route; see
     printed_kernel_discrepancy for the reported residuals.
+
+    Every member is a mask taken from the kernel K (the device amplitude in
+    the label representation) times a unitary shift or phase, so
+    M_ab^dag M_ab is diagonal in the working representation, holding |K|^2
+    at that member's kernel cells.  The family's statistics follow in
+    closed form from that (completeness_sum, joint_probabilities); _apply
+    applies one member.
     """
 
     def __init__(self, device: PhaseState, label_rep: str, grid: Grid2D = None, as_printed=False):
@@ -322,14 +296,10 @@ class KrausFamily:
         self._i0 = int(round(i0)) % g.n_x
         # integer cell offsets of device labels on the matched target lattice
         if label_rep in ("X_P", "piX_P"):
-            self._p_offsets = [
-                _shift_cells(Pv - 0.0, g.dp) for Pv in self.label_values[1]
-            ]
+            self._p_offsets = np.rint(self.label_values[1] / g.dp).astype(int)
 
     def __iter__(self):
-        for a in range(self.shape[0]):
-            for b in range(self.shape[1]):
-                yield KrausOperator(self, a, b)
+        return (KrausOperator(self, a, b) for a, b in np.ndindex(*self.shape))
 
     def operator(self, a, b):
         return KrausOperator(self, a, b)
@@ -358,7 +328,7 @@ class KrausFamily:
         n_p = self.grid.n_p
         mask = self.kernel[a, (b - np.arange(n_p)) % n_p][None, :]
         if self.as_printed:
-            shift = _shift_cells(self.label_values[0][a], self.grid.dx)
+            shift = int(round(self.label_values[0][a] / self.grid.dx))
             return mask * np.roll(amp, -shift, axis=0)
         phase = np.exp(-1j * self.label_values[0][a] * self.grid.x())[:, None]
         return mask * phase * amp
@@ -371,41 +341,45 @@ class KrausFamily:
         return m0 * m1
 
     def completeness_sum(self) -> np.ndarray:
-        """Diagonal of sum_labels M^dag M, accumulated label by label.
+        """Diagonal of sum_labels M^dag M in the working representation.
 
-        Every member is a masked multiplication composed with a unitary
-        shift or phase, so M^dag M is diagonal in the working
-        representation; its eigenvalue array is accumulated over all labels
-        (the inner label index is vectorized).
+        M_ab^dag M_ab holds |K|^2 at member (a, b)'s kernel cells.  At a
+        fixed target cell, each label map is a bijection of the label
+        index, so the labels visit every kernel cell once and every cell
+        holds sum |K|^2 * label_measure: 1 for a normalized device.
         """
-        n_x, n_p = self.grid.n_x, self.grid.n_p
-        dens = np.abs(self.kernel) ** 2
-        total = np.zeros((n_x, n_p))
-        rep = self.label_rep
-        rows = np.arange(n_x)
-        for a in range(self.shape[0]):
-            if rep == "X_P":
-                total += dens[(a - rows + self._i0) % n_x, :].sum(axis=1)[:, None]
-            elif rep == "X_piP":
-                idx = ((a + rows - self._i0) if self.as_printed else (a - rows + self._i0)) % n_x
-                total += dens[idx, :].sum(axis=1)[:, None]
-            else:  # piX_P and piX_piP: eigenvalue independent of the cell
-                total += dens[a, :].sum()
-        return total * self.label_measure
+        total = float(np.sum(np.abs(self.kernel) ** 2)) * self.label_measure
+        return np.full((self.grid.n_x, self.grid.n_p), total)
 
     def completeness_defect(self) -> float:
         return float(np.abs(self.completeness_sum() - 1.0).max())
 
     def joint_probabilities(self, phi: PhaseState) -> np.ndarray:
-        """Label-wise probabilities by literal application of each member."""
-        work = phi.with_conj(self.work_flags)
-        measure = self.work_measure() * self.label_measure
-        out = np.empty(self.shape)
-        for a in range(self.shape[0]):
-            for b in range(self.shape[1]):
-                raw = self._apply(work.amp, a, b)
-                out[a, b] = float(np.sum(np.abs(raw) ** 2)) * measure
-        return out
+        """Label-wise probabilities as one 2D circular convolution.
+
+        p(a, b) sums |K|^2 at member (a, b)'s kernel cells against
+        rho = |phi|^2 in the working representation, which is
+        ifft2(fft2(|K|^2') * fft2(rho')).  A label index that only picks a
+        kernel row (pi_X) or column (P) sees rho summed along its target
+        axis and placed at index 0.  The X rows (a - i + i0) roll |K|^2 by
+        -i0; the printed X_piP rows (a + i - i0) make a correlation, |K|^2
+        rolled by +i0 against rho reversed along x.  FFT round-off is
+        clipped at 0.
+        """
+        rho = np.abs(phi.with_conj(self.work_flags).amp) ** 2
+        k2 = np.abs(self.kernel) ** 2
+        rows, cols = np.indices(rho.shape, sparse=True)
+        if self.label_rep.startswith("piX"):
+            rho = np.where(rows == 0, rho.sum(axis=0, keepdims=True), 0.0)
+        elif self.label_rep == "X_piP" and self.as_printed:
+            rho = np.roll(rho[::-1], 1, axis=0)
+            k2 = np.roll(k2, self._i0, axis=0)
+        else:
+            k2 = np.roll(k2, -self._i0, axis=0)
+        if self.label_rep.endswith("_P"):
+            rho = np.where(cols == 0, rho.sum(axis=1, keepdims=True), 0.0)
+        probs = np.fft.ifft2(np.fft.fft2(k2) * np.fft.fft2(rho)).real
+        return np.maximum(probs, 0.0) * (self.work_measure() * self.label_measure)
 
 
 def kraus_build(device: PhaseState, label_rep: str, grid: Grid2D = None, as_printed=False) -> KrausFamily:
@@ -486,12 +460,8 @@ def _origin_index(axis: Axis):
 
 def quantum_pointer_couple(phi, eta, axis: Axis):
     """Quantum pointer coupling: psi(x, X) = phi(x) * eta(X - x)."""
-    n = axis.n
-    i0 = _origin_index(axis)
-    shifted = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        shifted[i] = np.roll(eta, i - i0)
-    return phi[:, None] * shifted
+    u = np.arange(axis.n)
+    return phi[:, None] * eta[(u - u[:, None] + _origin_index(axis)) % axis.n]
 
 
 def quantum_readout(psi2, axis: Axis) -> MeasurementRecord:
@@ -519,17 +489,8 @@ def quantum_simultaneity_probe(phi, eta, axis: Axis, mass_floor=_MASS_FLOOR):
     psi = quantum_pointer_couple(phi, eta, axis)
     dens = np.abs(psi) ** 2
     eta_dens = np.abs(eta) ** 2
-
-    res1 = 0.0
-    i0 = _origin_index(axis)
-    x_marg = dens.sum(axis=1) * axis.d
-    for i in range(axis.n):
-        if x_marg[i] * axis.d <= mass_floor:
-            continue
-        cond = dens[i] / (dens[i].sum() * axis.d)
-        ref = np.roll(eta_dens, i - i0)
-        ref = ref / (ref.sum() * axis.d)
-        res1 = max(res1, float(np.abs(cond - ref).sum()) * axis.d)
+    ref = eta_dens / (eta_dens.sum() * axis.d)
+    res1 = _shifted_residual(dens, axis.coords(), (axis.d, axis.d), ref, 1, mass_floor)
 
     # instantiate proposition 1: project the pointer onto its modal cell
     probs = dens.sum(axis=0)
@@ -540,8 +501,7 @@ def quantum_simultaneity_probe(phi, eta, axis: Axis, mass_floor=_MASS_FLOOR):
     ref_p = _momentum_density(phi, axis)
     # device collapsed to a point: every P cell is equally likely, and the
     # target p-conditional no longer depends on P
-    res2 = 0.0
-    for k in range(axis.n):
-        shifted = np.roll(ref_p, -k)
-        res2 = max(res2, float(np.abs(post_p - shifted).sum()) * axis.d_conj)
+    k = np.arange(axis.n)
+    shifted = ref_p[(k[None, :] + k[:, None]) % axis.n]  # row k: ref_p moved by -k
+    res2 = float(np.abs(post_p - shifted).sum(axis=1).max()) * axis.d_conj
     return res1, res2

@@ -1,4 +1,4 @@
-"""Flat binary container for states plus CSV export of densities.
+"""Flat binary container for states, plus the CSV writer of every table.
 
 Layout: magic ``KVNSTATE``, version, endianness marker, axis count, one
 conjugate flag per axis, then per axis (n, vmin, vmax), then the amplitude
@@ -66,12 +66,23 @@ def load_state(path):
     raise ValueError(f"{path}: unsupported axis count {n_axes}")
 
 
+def _csv_field(v):
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(path, header, rows):
+    """Write a header line and one line per row: floats (numpy float64
+    included) as .17g, bools as 0/1, anything else as str."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_field, row)) + "\n")
+
+
 def export_density_csv(density: Density, path):
     """Write a density as spreadsheet-ready CSV: value columns then density."""
-    names = list(density.axis_names) + ["density"]
     grids = np.meshgrid(*density.values, indexing="ij") if density.values else []
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        flat = [g.ravel() for g in grids] + [density.array.ravel()]
-        for row in zip(*flat):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    flat = [g.ravel() for g in grids] + [density.array.ravel()]
+    write_csv(path, list(density.axis_names) + ["density"], zip(*flat))

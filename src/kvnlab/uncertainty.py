@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import algebra
 from .errors import NonHermitianObservable
 from .phasespace import Observable, PhaseState, expectation, sigma
+from .stateio import write_csv
 
 _TARGET_GENS = ("x", "p", "pi_x", "pi_p")
 _DEVICE_GENS = ("X", "P", "pi_X", "pi_P")
@@ -99,19 +100,10 @@ class EDReport:
         "slack_trivial", "slack_ozawa_like", "unbiased",
     )
 
-    def csv_row(self):
-        vals = []
-        for name in self.CSV_FIELDS:
-            v = getattr(self, name)
-            vals.append(str(int(v)) if isinstance(v, bool) else f"{v:.17g}")
-        return ",".join(vals)
-
 
 def reports_to_csv(reports, path):
-    with open(path, "w") as fh:
-        fh.write(",".join(EDReport.CSV_FIELDS) + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")
+    write_csv(path, EDReport.CSV_FIELDS,
+              ([getattr(r, name) for name in EDReport.CSV_FIELDS] for r in reports))
 
 
 def error_disturbance(target: PhaseState, device: PhaseState, t) -> EDReport:

@@ -207,3 +207,89 @@ def save_state_interleaved(state, path):
         data[..., 0] = state.amp.real
         data[..., 1] = state.amp.imag
         fh.write(data.tobytes(order="C"))
+
+
+def kraus_dense(op):
+    """One member of an operator family as a dense matrix on the flattened
+    target lattice (working representation), column by column."""
+    grid = op.family.grid
+    n = grid.n_x * grid.n_p
+    out = np.zeros((n, n), dtype=np.complex128)
+    basis = np.zeros((grid.n_x, grid.n_p), dtype=np.complex128)
+    flat = basis.reshape(-1)
+    for col in range(n):
+        flat[col] = 1.0
+        out[:, col] = op.apply_raw(basis).reshape(-1)
+        flat[col] = 0.0
+    return out
+
+
+def kraus_probabilities_loop(family, phi):
+    """Label-wise probabilities by literal application of each member."""
+    work = phi.with_conj(family.work_flags)
+    measure = family.work_measure() * family.label_measure
+    out = np.empty(family.shape)
+    for a in range(family.shape[0]):
+        for b in range(family.shape[1]):
+            out[a, b] = float(np.sum(np.abs(family._apply(work.amp, a, b)) ** 2)) * measure
+    return out
+
+
+def shifted_residual_loop(joint, cond_axis, ref, sign, mass_floor):
+    """Max over the cells of axis ``cond_axis`` of the 2D density ``joint``
+    of the L1 gap between the conditional on that cell and the density
+    ``ref`` rolled by sign * (cell value) in whole cells, one cell at a time,
+    skipping cells whose mass is at most ``mass_floor``."""
+    marg = joint.marginalize((joint.axis_names[cond_axis],))
+    worst = 0.0
+    for i, value in enumerate(joint.values[cond_axis]):
+        if marg.array[i] * marg.measures[0] <= mass_floor:
+            continue
+        row = joint.array[i, :] if cond_axis == 0 else joint.array[:, i]
+        shifted = np.roll(ref.array, sign * int(round(value / ref.measures[0])))
+        worst = max(worst, float(np.abs(row / marg.array[i] - shifted).sum()) * ref.measures[0])
+    return worst
+
+
+def simultaneity_loop(s_after, target_init, device_init, mass_floor):
+    """check_simultaneity's two residuals, cell by cell."""
+    from kvnlab.phasespace import marginal
+
+    return (
+        shifted_residual_loop(marginal(s_after, ("x", "X")), 0,
+                              marginal(device_init, ("x",)), 1, mass_floor),
+        shifted_residual_loop(marginal(s_after, ("p", "P")), 1,
+                              marginal(target_init, ("p",)), -1, mass_floor),
+    )
+
+
+def instantiated_residual_loop(s_after, target_init, mass_floor):
+    """pointer_instantiated_residual, cell by cell after the modal pointer cell."""
+    from kvnlab.phasespace import conditional, marginal
+
+    pointer = marginal(s_after, ("X",))
+    rest = conditional(s_after, "X", pointer.values[0][int(np.argmax(pointer.array))])
+    return shifted_residual_loop(rest.marginalize(("p", "P")), 1,
+                                 marginal(target_init, ("p",)), -1, mass_floor)
+
+
+def quantum_probe_loop(phi, eta, axis, mass_floor):
+    """quantum_simultaneity_probe with a roll per pointer row and per P cell."""
+    n = axis.n
+    i0 = int(round(-axis.vmin / axis.d)) % n
+    psi = phi[:, None] * np.array([np.roll(eta, i - i0) for i in range(n)])
+    dens = np.abs(psi) ** 2
+    res1 = 0.0
+    for i in range(n):
+        if dens[i].sum() * axis.d * axis.d <= mass_floor:
+            continue
+        ref = np.roll(np.abs(eta) ** 2, i - i0)
+        cond = dens[i] / (dens[i].sum() * axis.d)
+        res1 = max(res1, float(np.abs(cond - ref / (ref.sum() * axis.d)).sum()) * axis.d)
+    post = psi[:, int(np.argmax(dens.sum(axis=0)))]
+    post = post / np.sqrt(np.sum(np.abs(post) ** 2) * axis.d)
+    scale = axis.d / axis.d_conj / n
+    post_p = np.abs(np.fft.fft(post)) ** 2 * scale
+    ref_p = np.abs(np.fft.fft(phi)) ** 2 * scale
+    res2 = max(float(np.abs(post_p - np.roll(ref_p, -k)).sum()) * axis.d_conj for k in range(n))
+    return psi, res1, res2

@@ -110,8 +110,19 @@ def test_pulsed_run_forms_one_outer_product(monkeypatch, tmp_path):
     assert t is not initial.factors[0].amp and d is not initial.factors[1].amp
 
 
+POINTER_CFG = {
+    "grid": {"n_x": 32, "n_p": 32, "x_min": -10.0, "x_max": 10.0,
+             "p_min": -10.0, "p_max": 10.0},
+    "target_state": {"kind": "gaussian", "x0": 0.3, "p0": -0.2,
+                     "sigma_x": 1.3, "sigma_p": 1.25},
+    "device_state": {"kind": "gaussian", "x0": -0.1, "p0": 0.15,
+                     "sigma_x": 1.28, "sigma_p": 1.31},
+}
+
+
 @pytest.mark.parametrize("cfg", [dict(EVOLVE_CFG, scenario="evolve", snapshot_every=5),
-                                 PULSED_CFG], ids=["evolve", "pulsed"])
+                                 PULSED_CFG, dict(POINTER_CFG, scenario="measure")],
+                         ids=["evolve", "pulsed", "measure"])
 def test_manifest_digests_match_files(tmp_path, cfg):
     manifest = cli.run(cfg, tmp_path / "out")
     assert any(f["name"].endswith(".state") for f in manifest.files)
@@ -173,6 +184,10 @@ def test_unknown_keys_rejected(tmp_path):
     cfg2["grid"] = dict(cfg2["grid"], padding=3)
     with pytest.raises(ConfigError, match="grid.padding"):
         cli.run(cfg2, tmp_path / "out")
+    # the pointer coupling is the pulsed scenario's eps, not a Hamiltonian term
+    cfg3 = dict(EVOLVE_CFG, scenario="evolve", hamiltonian={"mass": 1.0, "coupling": 0.5})
+    with pytest.raises(ConfigError, match="hamiltonian.coupling: unknown key"):
+        cli.run(cfg3, tmp_path / "out")
 
 
 def test_missing_section_named(tmp_path):
@@ -245,6 +260,21 @@ def test_measure_scenario_contrast(tmp_path):
     assert sim["prop1_residual"] < 1e-6
     assert sim["prop2_residual"] < 1e-6
     assert sim["quantum_instantiated_residual"] > 0.1
+
+
+@pytest.mark.parametrize("label_rep", ["X_P", "X_piP", "piX_P", "piX_piP"])
+def test_kraus_scenario(tmp_path, label_rep):
+    manifest = cli.run(dict(POINTER_CFG, scenario="kraus", label_rep=label_rep), tmp_path / "k")
+    assert {f["name"] for f in manifest.files} == {"labels.csv", "kraus.json"}
+    lines = (tmp_path / "k" / "labels.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 32 * 32
+    probs = np.array([float(line.split(",")[2]) for line in lines[1:]])
+    assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) < 1e-12
+    payload = json.loads((tmp_path / "k" / "kraus.json").read_text())
+    assert payload["label_rep"] == label_rep
+    assert payload["readout_l1"] < 1e-9
+    assert payload["completeness_defect"] < 1e-12
+    assert set(payload["printed_kernel_discrepancy"]) == {"X_P", "X_piP", "piX_P", "piX_piP"}
 
 
 def test_emit_plot_data(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kvnlab import dynamics as dyn
 from kvnlab import measurement as ms
 from kvnlab import phasespace as ps
 from kvnlab.errors import ShiftOverflow, ZeroMassSlice
@@ -109,6 +110,17 @@ def test_readout_probabilities_and_posts(grid):
     assert sum(p is None for p in rec.post_states) == grid.n_x - 1
 
 
+@pytest.mark.parametrize("axis", ["X", "pi_P"])
+def test_readout_posts_match_post_state(grid, axis):
+    # the post states cut from one density against one conditional per cell
+    target, device = gaussian_pair(grid, np.random.default_rng(19))
+    after = ms.von_neumann_couple(target, device)
+    rec = ms.readout(after, axis, with_post_states=True)
+    for value, post in zip(rec.values, rec.post_states):
+        if post is not None:
+            assert np.abs(post.amp - ms.post_state(after, axis, value).amp).max() < 1e-13
+
+
 def test_readout_pi_axis(grid):
     rng = np.random.default_rng(23)
     target, device = gaussian_pair(grid, rng)
@@ -147,6 +159,55 @@ def test_classical_probe_survives_pointer_readout(grid):
     target, device = gaussian_pair(grid, rng)
     after = ms.von_neumann_couple(target, device)
     assert ms.pointer_instantiated_residual(after, target) < 1e-6
+
+
+@pytest.mark.parametrize("mismatch", ["reference", "half_coupling"])
+def test_shifted_residuals_match_cell_loop(grid, mismatch):
+    # a reference that does not fit the coupled state makes both residuals
+    # O(1) and, with a half-strength coupling, different from cell to cell,
+    # so the shift sign and the mass floor both show in the maximum
+    from _oracles import instantiated_residual_loop, simultaneity_loop
+
+    rng = np.random.default_rng(47)
+    target, device = gaussian_pair(grid, rng)
+    if mismatch == "reference":
+        after = ms.von_neumann_couple(target, device)
+        target = ps.make_gaussian(grid, 1.5, -1.0, 1.3, 1.6)
+        device = ps.make_gaussian(grid, -1.0, 0.5, 1.6, 1.3)
+    else:
+        after = dyn.couple_evolve(ps.product_state(target, device), 1.0, 0.5)
+    seen = set()
+    for floor in (1e-10, 1e-4, 1e-2, 3e-2):
+        r1, r2 = ms.check_simultaneity(after, target, device, mass_floor=floor)
+        o1, o2 = simultaneity_loop(after, target, device, floor)
+        inst = ms.pointer_instantiated_residual(after, target, mass_floor=floor)
+        o_inst = instantiated_residual_loop(after, target, floor)
+        assert min(o1, o2, o_inst) > 0.1
+        assert abs(r1 - o1) < 1e-14 and abs(r2 - o2) < 1e-14 and abs(inst - o_inst) < 1e-14
+        seen.add((o1, o2, o_inst))
+    if mismatch == "half_coupling":
+        assert len(seen) > 1  # the floor moves the maximum
+
+
+@pytest.mark.parametrize("case", ["gaussian", "offset", "point_target", "random"])
+def test_quantum_probe_matches_cell_loop(case):
+    from _oracles import quantum_probe_loop
+
+    axis = ps.Axis(128, -8.0, 8.0)
+    rng = np.random.default_rng(53)
+    phi = ms.quantum_gaussian(axis, 0.3, 0.9)
+    eta = ms.quantum_gaussian(axis, 0.0, 0.5)
+    if case == "offset":
+        phi, eta = ms.quantum_gaussian(axis, -1.7, 0.6), ms.quantum_gaussian(axis, 1.1, 1.4)
+    elif case == "point_target":  # rows of zero mass: only the floor keeps them out
+        phi = ms.quantum_point(axis, 0.5)
+    elif case == "random":
+        amps = rng.normal(size=(2, axis.n)) + 1j * rng.normal(size=(2, axis.n))
+        phi, eta = amps / np.sqrt(np.sum(np.abs(amps) ** 2, axis=1, keepdims=True) * axis.d)
+    psi, o1, o2 = quantum_probe_loop(phi, eta, axis, 1e-10)
+    assert np.array_equal(ms.quantum_pointer_couple(phi, eta, axis), psi)
+    r1, r2 = ms.quantum_simultaneity_probe(phi, eta, axis)
+    assert abs(r1 - o1) < 1e-14 and abs(r2 - o2) < 1e-14
 
 
 def test_quantum_counterpart_fails_after_readout():
@@ -224,17 +285,52 @@ def test_kraus_completeness_all_reps(grid):
         assert fam.completeness_defect() < 1e-6
 
 
+def random_state(grid, rng):
+    """Box-filling random amplitude, normalized."""
+    amp = rng.normal(size=(grid.n_x, grid.n_p)) + 1j * rng.normal(size=(grid.n_x, grid.n_p))
+    return ps.PhaseState(grid, "xp", amp).normalized()
+
+
 def test_kraus_completeness_dense_literal():
-    # literal sum of M^dag M over every label on a tiny lattice
+    # literal sum of M^dag M over every label on a tiny lattice, for every
+    # label representation and both kernels: completeness_sum's closed form
+    # assumes each label map is a bijection at every target cell, and this
+    # is what checks it
+    from _oracles import kraus_dense
+
     grid = ps.Grid2D(8, 8, -4.0, 4.0, -4.0, 4.0)
-    device = ps.make_point(grid, 0.0, -1.0)
-    fam = ms.kraus_build(device, "X_P", grid)
+    device = random_state(grid, np.random.default_rng(41))
     n = grid.n_x * grid.n_p
-    acc = np.zeros((n, n), dtype=complex)
-    for op in fam:
-        m = op.dense()
-        acc += m.conj().T @ m * fam.label_measure
-    assert np.abs(acc - np.eye(n)).max() < 1e-9
+    for rep in ms.LABEL_REPS:
+        for as_printed in (False, True):
+            fam = ms.kraus_build(device, rep, grid, as_printed=as_printed)
+            acc = np.zeros((n, n), dtype=complex)
+            for op in fam:
+                m = kraus_dense(op)
+                acc += m.conj().T @ m * fam.label_measure
+            assert np.abs(acc - np.eye(n)).max() < 1e-12, (rep, as_printed)
+            assert np.abs(np.diag(acc).real - fam.completeness_sum().ravel()).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "random"])
+@pytest.mark.parametrize("as_printed", [False, True], ids=["unitary", "printed"])
+@pytest.mark.parametrize("rep", ms.LABEL_REPS)
+def test_joint_probabilities_match_label_loop(rep, as_printed, kind):
+    # the closed-form convolution against the literal per-member loop; the
+    # x = 0 cell sits off the middle of the lattice, so rolls by +i0 and
+    # -i0 differ
+    from _oracles import kraus_probabilities_loop
+
+    grid = ps.Grid2D(32, 32, -7.5, 12.5, -7.5, 12.5)
+    rng = np.random.default_rng(43)
+    if kind == "gaussian":
+        target, device = gaussian_pair(grid, rng)
+    else:
+        target, device = random_state(grid, rng), random_state(grid, rng)
+    fam = ms.kraus_build(device, rep, grid, as_printed=as_printed)
+    probs = fam.joint_probabilities(target)
+    assert probs.min() >= 0.0
+    assert np.abs(probs - kraus_probabilities_loop(fam, target)).max() < 1e-15
 
 
 def test_kraus_probabilities_match_readout_joint(grid):
@@ -278,6 +374,8 @@ def test_apply_kraus_zero_probability_raises(grid):
 
 
 def test_povm_elements_positive():
+    from _oracles import kraus_dense
+
     grid = ps.Grid2D(8, 8, -4.0, 4.0, -4.0, 4.0)
     xx = grid.x()[:, None]
     pp = grid.p()[None, :]
@@ -288,7 +386,7 @@ def test_povm_elements_positive():
     for _ in range(6):
         a = rng.integers(0, fam.shape[0])
         b = rng.integers(0, fam.shape[1])
-        m = fam.operator(a, b).dense()
+        m = kraus_dense(fam.operator(a, b))
         e = m.conj().T @ m
         eigs = np.linalg.eigvalsh(e)
         assert eigs.min() >= -1e-8

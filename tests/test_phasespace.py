@@ -12,7 +12,7 @@ from kvnlab.errors import (
     UnsupportedObservable,
     ZeroMassSlice,
 )
-from kvnlab.stateio import export_density_csv, load_state, save_state
+from kvnlab.stateio import export_density_csv, load_state, save_state, write_csv
 
 from _oracles import save_state_interleaved
 
@@ -270,3 +270,13 @@ def test_density_csv_export(tmp_path, grid):
     assert lines[0] == "x,density"
     values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert abs(values[:, 1].sum() * grid.dx - 1.0) < 1e-9
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    # every table goes through write_csv: floats as .17g (numpy float64
+    # too), bools as 0/1, anything else as str
+    path = tmp_path / "t.csv"
+    write_csv(path, ("n", "f", "g", "b"), [(3, 0.1, np.float64(-1.0) / 3, True),
+                                         (np.int64(-7), 2.5e-300, np.float64(1.0), np.bool_(False))])
+    assert path.read_bytes() == (b"n,f,g,b\n3,0.10000000000000001,-0.33333333333333331,1\n"
+                                 b"-7,2.5e-300,1,0\n")
