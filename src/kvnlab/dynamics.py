@@ -26,12 +26,19 @@ the target and device factors; without an observer, the leading factors of
 a program that act within one subsystem run on that subsystem's 2D factor,
 each guarded with the 4D wrap mass: the 2D one times the other factor's
 mass.  The 4D amplitude is formed once, at the first factor that couples
-the two, in a buffer the remaining factors run in place on; a program with
-no coupling factor returns a product state again.
+the two, and the factors from there on that are phases in one shared
+representation are applied as it is formed: the momentum kick and the
+pointer shift are both diagonal in (x, pi_p, pi_X, P), so the target is
+transformed along p, the device along X, their outer product is multiplied
+by both phases, and one inverse transform per axis returns it to
+coordinates.  Their guards read the 4D wrap mass off the product of the two
+factors' marginals.  The remaining factors run in place on that buffer; a
+program with no coupling factor returns a product state again.
 
 A factor on an array of at least 2**17 elements runs on every usable core:
 the array is cut along another axis into one block per core, and the
-blocks run in a thread pool started by the first such factor.  Each block
+blocks run in a thread pool started by the first such factor; the inverse
+transforms of a formed coupling are cut the same way.  Each block
 computes the same 1-D transforms and products as the whole array, so the
 result is bit-identical to the serial one.  The usable cores are the
 process's CPU affinity, so ``taskset -c 0`` keeps every factor serial.
@@ -305,31 +312,46 @@ def _compile(f, axis, ndim, check_wrap):
     return np.exp(-1j * f.tau * arg), edges
 
 
-def _apply(src, dst, axis, phase):
-    """dst = ifft(fft(src) * phase) along ``axis``; ``dst`` may be ``src``.
+def _split(arr, axes, block):
+    """Run ``block(idx)`` on slabs ``arr[idx]`` that together cover ``arr``.
 
-    An array of at least _PARALLEL_MIN elements is cut along axis 0 (axis 1
-    when ``axis`` is 0) into one block per usable core; the calling thread
-    runs the first block and the pool the others.
+    An array of at least _PARALLEL_MIN elements is cut along its first axis
+    not in ``axes`` into one slab per usable core; the calling thread runs
+    the first slab and the pool the others.  Every 1-D line along ``axes``
+    lies whole in one slab, so transforms along them are bit-identical to
+    the serial ones.
     """
-    executor, cores = _executor() if src.size >= _PARALLEL_MIN else (None, 1)
-    cut = 1 if axis == 0 else 0
-    n = src.shape[cut]
+    free = [i for i in range(arr.ndim) if i not in axes]
+    executor, cores = _executor() if arr.size >= _PARALLEL_MIN and free else (None, 1)
+    cut = free[0] if free else 0
+    n = arr.shape[cut]
     parts = min(cores, n)
     edges = [n * i // parts for i in range(parts + 1)]
-
-    def block(lo, hi):
-        idx = (slice(None),) * cut + (slice(lo, hi),)
-        out = np.fft.fft(src[idx], axis=axis, out=dst[idx])
-        out *= phase[idx] if phase.shape[cut] > 1 else phase
-        np.fft.ifft(out, axis=axis, out=out)
-
-    futures = [executor.submit(block, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    slabs = [(slice(None),) * cut + (slice(lo, hi),) for lo, hi in zip(edges, edges[1:])]
+    futures = [executor.submit(block, idx) for idx in slabs[1:]]
     try:
-        block(edges[0], edges[1])
+        block(slabs[0])
     finally:
         for fut in futures:
             fut.result()
+
+
+def _cut(phase, idx):
+    """The part of ``phase`` that multiplies the slab ``idx`` of _split."""
+    return phase[idx] if phase.shape[len(idx) - 1] > 1 else phase
+
+
+def _apply(src, dst, axis, phase):
+    """dst = ifft(fft(src) * phase) along ``axis``; ``dst`` may be ``src``.
+
+    Runs on the slabs of _split, so a large array uses every usable core.
+    """
+    def block(idx):
+        out = np.fft.fft(src[idx], axis=axis, out=dst[idx])
+        out *= _cut(phase, idx)
+        np.fft.ifft(out, axis=axis, out=out)
+
+    _split(src, (axis,), block)
 
 
 def _propagate(s, steps, after_step=None, check_wrap=True):
@@ -339,9 +361,11 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
     representation, so a factor is ifft(fft(a) * phase) along its axis.
     ``after_step(i, amp)`` runs after step i.  Without it, pure shears of
     all steps fuse, and on a product state the leading factors that act
-    within one subsystem run on its 2D factors (see _local_head).  With
-    ``check_wrap`` each factor first checks the wrap mass of the density it
-    is applied to and raises its ``error`` above 1e-6.
+    within one subsystem run on its 2D factors (see _local_head) and the
+    factors from the first coupling one on that are diagonal together are
+    applied as the 4D amplitude is formed (see _form).  With ``check_wrap``
+    each factor first checks the wrap mass of the density it is applied to
+    and raises its ``error`` above 1e-6.
     """
     coord = s.with_conj((False,) * len(s.conj_flags))
     axes, names = coord.axes(), coord.axis_names
@@ -350,7 +374,9 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         steps = [program if any(f.curv for f in program) else _fuse(program)]
     compiled = {}
 
-    def shear(amp, f, axis, weight, name):
+    def checked_phase(amp, f, axis, weight, name):
+        # the phase of f on a field of amp.ndim axes, once the wrap mass of
+        # |amp|^2 * weight has passed f's guard
         key = (amp.ndim, f.axis, id(f.shift), f.tau, f.curv)
         if key not in compiled:
             compiled[key] = _compile(f, axis, amp.ndim, check_wrap)
@@ -360,6 +386,10 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
             if mass > _WRAP_LIMIT:
                 raise f.error(f"{f.label} wraps {mass:.3e} of the mass around the "
                               f"{name} range")
+        return phase
+
+    def shear(amp, f, axis, weight, name):
+        phase = checked_phase(amp, f, axis, weight, name)
         # an array handed to an observer is frozen; write a fresh one then
         out = amp if amp.flags.writeable else np.empty_like(amp)
         _apply(amp, out, f.axis, phase)
@@ -372,7 +402,8 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
             t, d = coord.factors
             return product_state(PhaseState(t.grid, "xp", parts[0]),
                                  PhaseState(d.grid, "xp", parts[1]))
-        amp, steps = phasespace._outer(*parts), [rest]
+        block = _diagonal_head(rest)
+        amp, steps = _form(coord, parts, block, checked_phase), [rest[len(block):]]
     else:
         amp = entry = coord.amp
     for i, step in enumerate(steps):
@@ -391,7 +422,8 @@ def _local_head(s, program, shear):
     in (x, p) or in (X, P).  Its guard sees the 4D wrap mass: for a product,
     the 2D wrap mass times the other factor's mass.  Returns the two factor
     amplitudes and the rest of ``program``, which starts at the first
-    factor that couples the subsystems.
+    factor that couples the subsystems; _form applies the first factors of
+    the rest as it forms the 4D amplitude.
     """
     parts = [f.amp for f in s.factors]
     # one 2D view per shift array, kept alive so the ids that key the
@@ -409,6 +441,61 @@ def _local_head(s, program, shear):
         parts[side] = shear(parts[side], replace(f, axis=f.axis - lo, shift=views[id(f.shift)]),
                             s.axes()[f.axis], weight, s.axis_names[f.axis])
     return parts, []
+
+
+def _diagonal_head(program):
+    """The leading factors of ``program`` that share one representation
+    where each is a phase: their axes are distinct, and none of them lies
+    in another's deps(), so the others' axes stay coordinates there."""
+    block = []
+    for f in program:
+        if any(f.axis in g.deps() or g.axis in f.deps() for g in block):
+            break
+        block.append(f)
+    return block
+
+
+def _form(s, parts, block, checked_phase):
+    """The 4D amplitude of the product of the 2D ``parts`` of ``s`` after
+    the factors of ``block`` (from _diagonal_head).
+
+    Each part is transformed along the block axes in its subsystem (the
+    target along p, the device along X for the pointer coupling), the outer
+    product of the two spectra is formed once and multiplied by every
+    factor's phase, and one inverse transform per block axis, run on the
+    slabs of _split, returns it to coordinates.
+
+    No block factor moves an axis another one's guard reads, so each guard
+    sees the product density, whose marginal on a factor's deps() is the
+    outer product of the parts' marginals there; the guard reads its wrap
+    mass from the square root of that marginal, an array with one cell on
+    every other axis.
+    """
+    rho = [(p * p.conj()).real for p in parts]
+    phases = []
+    for f in block:
+        marginals = [np.sqrt(r.sum(axis=tuple(i for i in (0, 1) if 2 * k + i not in f.deps()),
+                                   keepdims=True))
+                     for k, r in enumerate(rho)]
+        root = (marginals[0][:, :, None, None] * marginals[1]).astype(complex)
+        phases.append(checked_phase(root, f, s.axes()[f.axis], s.cell_measure(),
+                                    s.axis_names[f.axis]))
+    spectra = list(parts)
+    for f in block:
+        side = f.axis // 2
+        spectra[side] = np.fft.fft(spectra[side], axis=f.axis - 2 * side)
+    amp = phasespace._outer(*spectra)
+    block_axes = [f.axis for f in block]
+
+    def inverse(idx):
+        out = amp[idx]
+        for phase in phases:
+            out *= _cut(phase, idx)
+        for axis in block_axes:
+            np.fft.ifft(out, axis=axis, out=out)
+
+    _split(amp, block_axes, inverse)
+    return amp
 
 
 def _generators(axes, subsystems, hbar=0.0, a=-1.0, b=1.0):
@@ -518,7 +605,9 @@ def couple_evolve(s, coupling, t, check_wrap=True):
 
     Applies exp(-i L t) with L the four-term generator of lambda*x*P: the
     commuting shears p -> p - lambda*t*P and X -> X + lambda*t*x, so one
-    application is exact for any t.  Raises ShiftOverflow when a shear
+    application is exact for any t.  Both are phases where p and X are
+    conjugate, so on a product state they are applied as the 4D amplitude
+    is formed, in 2 passes over it.  Raises ShiftOverflow when a shear
     would wrap more than 1e-6 of the probability around the periodic box
     (``check_wrap=False`` skips the guard and accepts the periodic
     identification).
@@ -551,10 +640,12 @@ def pulsed_propagator(s, h_target, h_device, eps, t1, t_total, plan):
     with the split steps of free_evolve_bipartite and the shears of
     couple_evolve, run as one engine program: the device flight commutes
     with the coupling, so its two halves fuse.  On a product state the
-    target flight to t1 and the device flight run on the 2D factors, and
-    the 4D amplitude is formed at the coupling.  Raises UnstablePlan when a
-    free-flight shear, ShiftOverflow when a coupling shear would wrap more
-    than 1e-6 of the probability around the periodic box.
+    target flight to t1 and the device flight run on the 2D factors, the
+    4D amplitude is formed at the coupling with the kick and the pointer
+    shift applied to it, and only the target flight after t1 runs on the
+    4D array.  Raises UnstablePlan when a free-flight shear, ShiftOverflow
+    when a coupling shear would wrap more than 1e-6 of the probability
+    around the periodic box.
     """
     if not 0.0 < t1 < t_total:
         raise ValueError("need 0 < t1 < t_total")

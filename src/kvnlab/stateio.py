@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from . import dynamics
 from .phasespace import BipartiteState, Density, Grid2D, PhaseState, _FLAGS_REP
 
 _MAGIC = b"KVNSTATE"
@@ -23,7 +24,10 @@ _ENDIAN_MARK = 0x01020304
 def save_state(state, path):
     """Serialize a PhaseState or BipartiteState to the binary container.
 
-    Returns the sha256 hex digest of the bytes written.
+    Returns the sha256 hex digest of the bytes written.  An amplitude large
+    enough for the shear engine's thread pool (dynamics._PARALLEL_MIN
+    elements) is hashed on a pool thread while this one writes it; both
+    release the GIL.  Smaller ones are hashed on this thread.
     """
     axes = state.axes()
     header = b"".join([
@@ -34,11 +38,19 @@ def save_state(state, path):
     ])
     # little-endian complex128 in C order is the interleaved re/im layout
     data = np.ascontiguousarray(state.amp, dtype="<c16")
+    digest = hashlib.sha256(header)
+    executor = dynamics._executor()[0] if data.size >= dynamics._PARALLEL_MIN else None
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data)
-    digest = hashlib.sha256(header)
-    digest.update(data)
+        if executor is None:
+            fh.write(data)
+            digest.update(data)
+        else:
+            hashed = executor.submit(digest.update, data)
+            try:
+                fh.write(data)
+            finally:
+                hashed.result()
     return digest.hexdigest()
 
 

@@ -5,6 +5,8 @@ from the FFT split-operator code paths, so agreement is evidence and not
 tautology.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -293,3 +295,16 @@ def quantum_probe_loop(phi, eta, axis, mass_floor):
     ref_p = np.abs(np.fft.fft(phi)) ** 2 * scale
     res2 = max(float(np.abs(post_p - np.roll(ref_p, -k)).sum()) * axis.d_conj for k in range(n))
     return psi, res1, res2
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the work handed to it, to stand in for the
+    shear engine's pool (``dynamics._pool``)."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)

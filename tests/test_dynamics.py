@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 
-from _oracles import (dense_couple, dense_evolve, free_evolve_bipartite_steps,
+from _oracles import (CountingPool, dense_couple, dense_evolve, free_evolve_bipartite_steps,
                       pulsed_three_calls, wrapped_mass)
 
 
@@ -434,16 +433,6 @@ def test_pulsed_pointer_reads_position_at_pulse_time():
     assert abs(ps.expectation(out, "X") - expected) < grid.dx
 
 
-class _CountingPool(ThreadPoolExecutor):
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
 @pytest.mark.parametrize("shape, axis, cores", [((32,) * 4, a, 2) for a in range(4)]
                          + [((512, 512), a, 2) for a in range(2)]
                          + [((32,) * 4, 1, 3), ((512, 512), 0, 3), ((256, 256), 0, 2)])
@@ -470,7 +459,7 @@ def test_threaded_factor_is_bit_identical_to_serial(monkeypatch, shape, axis, co
         return out.amp.tobytes(), seen[0].tobytes()
 
     serial = run((None, 1))
-    with _CountingPool(cores - 1) as pool:
+    with CountingPool(cores - 1) as pool:
         threaded = run((pool, cores))
     assert threaded == serial
     assert pool.submitted == (3 * (cores - 1) if amp.size >= dyn._PARALLEL_MIN else 0)
@@ -522,6 +511,50 @@ def _materialized(s):
     return ps.BipartiteState(t.grid, d.grid, (False,) * 4, np.multiply.outer(t.amp, d.amp))
 
 
+def _random_pair(n, seed):
+    """A product of two box-filling random n x n states, not normalized."""
+    rng = np.random.default_rng(seed)
+    grid = ps.Grid2D(n, n, -8.0, 8.0, -4.0, 4.0)
+    t, d = (ps.PhaseState(grid, "xp", rng.standard_normal((n, n))
+                          + 1j * rng.standard_normal((n, n))) for _ in range(2))
+    return ps.product_state(t, d)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("h_t, h_d, eps, plan", _PULSED_CASES)
+def test_formed_coupling_matches_materialized_state(monkeypatch, n, h_t, h_d, eps, plan):
+    # random states fill the box, so every program runs without its guards
+    propagate = dyn._propagate
+    monkeypatch.setattr(dyn, "_propagate", lambda s, steps, after_step=None, check_wrap=True:
+                        propagate(s, steps, after_step, check_wrap=False))
+    s = _random_pair(n, n)
+    out = dyn.pulsed_propagator(s, h_t, h_d, eps, 0.4, 1.0, plan)
+    ref = dyn.pulsed_propagator(_materialized(s), h_t, h_d, eps, 0.4, 1.0, plan)
+    assert np.abs(out.amp - ref.amp).max() < 1e-13
+    s = _random_pair(n, n + 1)
+    out = dyn.couple_evolve(s, 0.8, 0.6, check_wrap=False)
+    ref = dyn.couple_evolve(_materialized(s), 0.8, 0.6, check_wrap=False)
+    assert np.abs(out.amp - ref.amp).max() < 1e-13
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_formed_pulsed_program_is_bit_identical_to_serial(monkeypatch, cores):
+    free = dyn.HamiltonianSpec.free(1.0)
+
+    def run(pool):
+        monkeypatch.setattr(dyn, "_pool", pool)
+        out = dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.5, 0.4, 1.0,
+                                    dyn.PropagationPlan(0.05, 20))
+        return out.amp.tobytes()
+
+    serial = run((None, 1))
+    with CountingPool(cores - 1) as pool:
+        threaded = run((pool, cores))
+    assert threaded == serial
+    # the inverse transforms of the formation and the target flight after t1
+    assert pool.submitted == 2 * (cores - 1)
+
+
 def test_free_flight_of_product_is_product_of_flights():
     s = _pulsed_pair()
     h_t = dyn.HamiltonianSpec.harmonic(1.0, 0.5)
@@ -556,9 +589,15 @@ def _scaled(state, factor):
     return ps.PhaseState(state.grid, "xp", factor * state.amp)
 
 
-# (target, device, run, error, axis named in its message); the last two
-# cases wrap 9.4e-7 and 2.2e-6 of the target's own mass, so only the device
-# mass (4 and 1/4) decides whether the 4D wrap mass passes 1e-6
+def _couple(lam_t):
+    return lambda s: dyn.couple_evolve(s, 1.0, lam_t)
+
+
+# (target, device, run, error, axis named in its message).  The "device of
+# mass" cases wrap 9.4e-7 and 2.2e-6 of the target's own mass in its flight,
+# and 5.6e-7 and 2.0e-6 in the kick of a coupling, so only the device mass
+# (4 and 1/4) decides whether the 4D wrap mass passes 1e-6.  In "coupling
+# kick" the pointer shift wraps 2e-8, and in "coupling pointer shift" the kick.
 _WRAP_CASES = {
     "D1 target flight": (lambda: ps.make_gaussian(_WIDE, 0.0, 6.0, 2.0, 2.0),
                          lambda: ps.make_gaussian(_WIDE, 0.0, 6.0, 2.0, 2.0),
@@ -578,6 +617,20 @@ _WRAP_CASES = {
     "device of mass 1/4": (lambda: ps.make_gaussian(_PAIR, 1.0, 1.0, 1.0, 0.5),
                            lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 0.0, 1.0, 0.5), 0.5),
                            _flight(1.2), None, None),
+    "coupling kick": (lambda: ps.make_gaussian(_PAIR, 0.0, -1.0, 1.0, 0.5),
+                      lambda: ps.make_gaussian(_PAIR, 0.0, 1.0, 1.0, 0.5),
+                      _couple(1.0), ShiftOverflow, "p"),
+    "coupling pointer shift": (lambda: ps.make_gaussian(_PAIR, 2.0, 0.0, 1.0, 0.5),
+                               lambda: ps.make_gaussian(_PAIR, 2.0, 0.0, 1.0, 0.5),
+                               _couple(1.0), ShiftOverflow, "X"),
+    "coupling, device of mass 4": (lambda: ps.make_gaussian(_PAIR, 0.0, -1.0, 1.0, 0.5),
+                                   lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 1.0, 1.0, 0.5),
+                                                   2.0),
+                                   _couple(0.4), ShiftOverflow, "p"),
+    "coupling, device of mass 1/4": (lambda: ps.make_gaussian(_PAIR, 0.0, -1.0, 1.0, 0.5),
+                                     lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 1.0, 1.0,
+                                                                      0.5), 0.5),
+                                     _couple(0.45), None, None),
 }
 
 
@@ -595,23 +648,28 @@ def test_product_path_raises_as_materialized_state(case):
 
 
 def test_pulsed_device_flight_fuses_across_coupling(monkeypatch):
-    applied = []
-    apply = dyn._apply
+    applied, outer = [], []
+    apply, form = dyn._apply, ps._outer
     monkeypatch.setattr(dyn, "_apply", lambda src, dst, axis, phase: (
-        applied.append((src, axis)), apply(src, dst, axis, phase)))
+        applied.append((src, dst, axis)), apply(src, dst, axis, phase)))
+    monkeypatch.setattr(ps, "_outer", lambda t, d: (outer.append((t, d)), form(t, d))[1])
     free = dyn.HamiltonianSpec.free(1.0)
     s = _pulsed_pair()
     t, d = s.factors
     dyn.pulsed_propagator(s, free, free, 0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
-    (a0, axis0), (a1, axis1), *coupled = applied
+    (a0, t1, axis0), (a1, d1, axis1), *coupled = applied
     # the target flight to t1 and the whole device flight run on the 2D factors
     assert (a0 is t.amp, axis0, a1 is d.amp, axis1) == (True, 0, True, 0)
-    # kick, pointer shift and target flight run on the 4D array
-    assert [(a.shape, axis) for a, axis in coupled] == [((32,) * 4, 1), ((32,) * 4, 2),
-                                                        ((32,) * 4, 0)]
+    # the 4D amplitude is formed from the p spectrum of the flown target and
+    # the X spectrum of the flown device, with the kick and the pointer shift
+    # applied to it; only the target flight after t1 runs on the 4D array
+    [(t_spec, d_spec)] = outer
+    assert np.array_equal(t_spec, np.fft.fft(t1, axis=1))
+    assert np.array_equal(d_spec, np.fft.fft(d1, axis=0))
+    assert [(a.shape, axis) for a, _, axis in coupled] == [((32,) * 4, 0)]
     applied.clear()
     out = dyn.pulsed_propagator(s, free, free, 0.0, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
-    assert [(a.shape, axis) for a, axis in applied] == [((32, 32), 0), ((32, 32), 0)]
+    assert [(a.shape, axis) for a, _, axis in applied] == [((32, 32), 0), ((32, 32), 0)]
     assert out.factors is not None
 
 

@@ -14,7 +14,7 @@ from kvnlab.errors import (
 )
 from kvnlab.stateio import export_density_csv, load_state, save_state, write_csv
 
-from _oracles import save_state_interleaved
+from _oracles import CountingPool, save_state_interleaved
 
 
 @pytest.fixture
@@ -252,6 +252,24 @@ def test_save_state_returns_digest_of_bytes_written(tmp_path, grid):
     for i, s in enumerate((ps.to_representation(random_state(grid, rng), "x_pip"), pair)):
         path = tmp_path / f"{i}.state"
         assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_save_state_digest_of_large_state(tmp_path, monkeypatch, cores):
+    # 32^4 reaches the shear engine's parallel threshold: with a pool, a
+    # pool thread hashes the amplitude while the calling thread writes it
+    from kvnlab import dynamics as dyn
+
+    rng = np.random.default_rng(16)
+    g = ps.Grid2D(32, 32, -4.0, 4.0, -4.0, 4.0)
+    amp = rng.standard_normal((32,) * 4) + 1j * rng.standard_normal((32,) * 4)
+    s = ps.BipartiteState(g, g, (False, True, True, False), amp)
+    assert amp.size >= dyn._PARALLEL_MIN
+    path = tmp_path / "big.state"
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(dyn, "_pool", (pool, 2) if cores == 2 else (None, 1))
+        assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert pool.submitted == (1 if cores == 2 else 0)
 
 
 def test_state_container_rejects_foreign_files(tmp_path):
