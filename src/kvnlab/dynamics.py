@@ -35,13 +35,16 @@ coordinates.  Their guards read the 4D wrap mass off the product of the two
 factors' marginals.  The remaining factors run in place on that buffer; a
 program with no coupling factor returns a product state again.
 
-A factor on an array of at least 2**17 elements runs on every usable core:
-the array is cut along another axis into one block per core, and the
-blocks run in a thread pool started by the first such factor; the inverse
-transforms of a formed coupling are cut the same way.  Each block
-computes the same 1-D transforms and products as the whole array, so the
-result is bit-identical to the serial one.  The usable cores are the
-process's CPU affinity, so ``taskset -c 0`` keeps every factor serial.
+A factor on an array of at least 2**16 elements (a 256^2 state, a 16^4
+pair and up) runs on every usable core: the array is cut along another axis
+into one block per core, and the calling thread and a thread pool started
+by the first such factor take blocks until none is left; the inverse
+transforms of a formed coupling are cut the same way.  An observed 256^2
+flight thus runs its momentum kicks on row halves and its drifts on column
+halves.  Each block computes the same 1-D transforms and products as the
+whole array, so the result is bit-identical to the serial one.  The usable
+cores are the process's CPU affinity, so ``taskset -c 0`` keeps every
+factor serial.
 
 The hbar-deformed propagator evolves H(x + a*hbar*pi_p, p + b*hbar*pi_x)
 with (a, b) fixed by a deformation convention.  Its factors carry a pi^2
@@ -77,12 +80,14 @@ _BOUNDARY_GROWTH_LIMIT = 1e-6
 _WRAP_LIMIT = 1e-6
 
 # A factor on at least this many elements runs in one block per usable core.
-# Serial time over two-thread time of one factor, ifft(fft(a) * phase) along
-# each axis, best of 5, on a 2-vCPU Intel Xeon KVM guest with numpy 2.4:
-#   64^2 0.20 | 128^2 0.46-0.58 | 256^2 0.82-1.32 | 512^2 1.32-1.40
-#   16^4 0.91-1.54 | 32^4 1.63-1.82
-# 2**17 keeps 256^2 and 16^4 (2**16), where threads lose or barely win, serial.
-_PARALLEL_MIN = 1 << 17
+# Serial time over two-slab time of one factor, _apply along each axis, best
+# of 9 x 50 (x 10 from 2**18), two runs, on a 2-vCPU Intel Xeon KVM guest
+# with Python 3.11 and numpy 2.4:
+#   128^2 0.59-0.87 | 256x128, 128x256 0.67-1.20 | 256^2 1.22-1.94
+#   16^4 0.99-1.74 | 512^2 1.47-2.09 | 32^4 1.29-2.45
+# 2**16 splits 256^2 and 16^4, which gain on every axis (one 16^4 reading of
+# 0.99 aside), and keeps 2**15 and below, which lose about as often, serial.
+_PARALLEL_MIN = 1 << 16
 
 _pool = None  # (executor or None, cores), made by the first large factor
 _pool_lock = threading.Lock()
@@ -256,17 +261,29 @@ def _edges(axis, dim, shift, ndim):
     """Where u -> u + shift along ``dim`` carries cells past an end of ``axis``.
 
     An edge cell counts for any shift towards its edge, since a sub-cell
-    spectral shift already wraps part of it.  At each end the wrapped cells
-    lie in a slab along ``dim`` as deep as the largest shift towards that
-    end.  Returns one (index, spec, weight) per non-empty slab: ``index``
-    cuts the slab out of an ``ndim``-axis array, ``spec`` sums the squares
-    of its float view over the axes the shift does not depend on, and
-    ``weight`` is 1 on the wrapped cells of what is left (doubled along the
-    last axis, whose float view interleaves re and im).
+    spectral shift already wraps part of it.  Returns a list of
+    (index, spec, weight) for _edge_mass.
+
+    Where the shift varies along every other axis, as a 2D factor's does,
+    there is nothing to sum over: the list is one entry whose ``index``
+    holds the flat indices of the wrapped cells at both ends, and whose
+    spec and weight are None.  Otherwise the wrapped cells at each end lie
+    in a slab along ``dim`` as deep as the largest shift towards that end,
+    with one entry per non-empty slab: ``index`` cuts the slab out of an
+    ``ndim``-axis array, ``spec`` sums the squares of its float view over
+    the axes the shift does not depend on, and ``weight`` is 1 on the
+    wrapped cells of what is left (doubled along the last axis, whose float
+    view interleaves re and im).
     """
     n = axis.n
     u = np.arange(n)
     step = shift / axis.d
+    landed = _along(u, dim, ndim) + step
+    wrapped = (landed < 0) | (landed > n - 1)
+    if min(wrapped.shape) > 1:
+        # one gather of the few wrapped cells reads less than two strided
+        # slabs of short rows
+        return [(np.flatnonzero(wrapped), None, None)]
     low = int(np.count_nonzero(u + np.min(step) < 0))
     high = max(low, n - int(np.count_nonzero(u + np.max(step) > n - 1)))
     letters = "abcdefgh"[:ndim]
@@ -274,10 +291,9 @@ def _edges(axis, dim, shift, ndim):
     for lo, hi in ((0, low), (high, n)):
         if lo == hi:
             continue
-        landed = _along(u[lo:hi], dim, ndim) + step
-        mask = (landed < 0) | (landed > n - 1)
         index = [slice(None)] * ndim
         index[dim] = slice(lo, hi)
+        mask = wrapped[tuple(index)]
         # on each axis the shift depends on, only the span that reaches the edge
         for i in range(ndim):
             if i != dim and mask.shape[i] > 1:
@@ -295,17 +311,22 @@ def _edges(axis, dim, shift, ndim):
 
 
 def _edge_mass(amp, edges):
-    """Sum of |amp|^2 over the cells of ``edges``; ``amp`` is complex128."""
+    """Sum of |amp|^2 over the cells of ``edges`` (from _edges); ``amp`` is
+    complex128."""
     total = 0.0
     for index, spec, weight in edges:
-        v = amp[index].view(np.float64)
-        total += float(np.vdot(np.einsum(spec, v, v), weight))
+        if spec is None:
+            v = np.take(amp, index)
+            total += float(np.vdot(v, v).real)
+        else:
+            v = amp[index].view(np.float64)
+            total += float(np.vdot(np.einsum(spec, v, v), weight))
     return total
 
 
 def _compile(f, axis, ndim, check_wrap):
     """The phase array of ``f`` on an ``ndim``-axis field and, when
-    guarded, the edge slabs of its wrapped cells."""
+    guarded, its wrapped cells (see _edges)."""
     k = _along(axis.conj_coords(), f.axis, ndim)
     arg = f.shift * k if not f.curv else f.shift * k + f.curv * k**2
     edges = _edges(axis, f.axis, f.tau * f.shift, ndim) if check_wrap else None
@@ -315,11 +336,14 @@ def _compile(f, axis, ndim, check_wrap):
 def _split(arr, axes, block):
     """Run ``block(idx)`` on slabs ``arr[idx]`` that together cover ``arr``.
 
-    An array of at least _PARALLEL_MIN elements is cut along its first axis
-    not in ``axes`` into one slab per usable core; the calling thread runs
-    the first slab and the pool the others.  Every 1-D line along ``axes``
-    lies whole in one slab, so transforms along them are bit-identical to
-    the serial ones.
+    An array of at least _PARALLEL_MIN elements (2**16: a 256^2 state, a
+    16^4 pair) is cut along its first axis not in ``axes`` into one slab
+    per usable core.  The calling thread and one pool task per other slab
+    take slabs until none is left, and a task that has not started by then
+    is cancelled: a pool thread slow to wake (an idle vCPU the host is slow
+    to run again) costs at most the serial time, not a wait for it.  Every
+    1-D line along ``axes`` lies whole in one slab, so transforms along them
+    are bit-identical to the serial ones.
     """
     free = [i for i in range(arr.ndim) if i not in axes]
     executor, cores = _executor() if arr.size >= _PARALLEL_MIN and free else (None, 1)
@@ -327,13 +351,24 @@ def _split(arr, axes, block):
     n = arr.shape[cut]
     parts = min(cores, n)
     edges = [n * i // parts for i in range(parts + 1)]
-    slabs = [(slice(None),) * cut + (slice(lo, hi),) for lo, hi in zip(edges, edges[1:])]
-    futures = [executor.submit(block, idx) for idx in slabs[1:]]
+    slabs = iter([(slice(None),) * cut + (slice(lo, hi),) for lo, hi in zip(edges, edges[1:])])
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                idx = next(slabs, None)
+            if idx is None:
+                return
+            block(idx)
+
+    futures = [executor.submit(take) for _ in range(parts - 1)]
     try:
-        block(slabs[0])
+        take()
     finally:
         for fut in futures:
-            fut.result()
+            if not fut.cancel():
+                fut.result()
 
 
 def _cut(phase, idx):

@@ -26,8 +26,9 @@ def save_state(state, path):
 
     Returns the sha256 hex digest of the bytes written.  An amplitude large
     enough for the shear engine's thread pool (dynamics._PARALLEL_MIN
-    elements) is hashed on a pool thread while this one writes it; both
-    release the GIL.  Smaller ones are hashed on this thread.
+    elements: a 256^2 state, a 16^4 pair and up) is hashed on a pool thread
+    while this one writes it; both release the GIL.  Smaller ones, and any
+    when only one core is usable, are hashed on this thread.
     """
     axes = state.axes()
     header = b"".join([

@@ -16,6 +16,7 @@ the pi_x-disturbance obeys the hbar-independent product inequality
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,8 +66,14 @@ def expectation_of_expr(expr, target: PhaseState, device: PhaseState = None) -> 
     return total
 
 
-def _pointer_operators(t):
-    """Exact Heisenberg forms of N, D and the pi_x disturbance at time t."""
+@functools.lru_cache(maxsize=128)
+def _pointer_algebra(t):
+    """Exact Heisenberg forms of N, D and the pi_x disturbance at time t,
+    then N^2, D^2, D_pi^2 and [N, D].
+
+    None of them depends on the state, so the members of an ensemble at
+    one t share a single derivation; OperatorExpr is immutable.
+    """
     l = algebra.liouvillian_of(
         algebra.multiply(algebra.x, algebra.P), subsystems=("target", "device")
     )
@@ -74,7 +81,8 @@ def _pointer_operators(t):
     n_op = algebra.heisenberg_evolve(algebra.X, l, t=t_frac, term_bound=4) - algebra.x
     d_op = algebra.heisenberg_evolve(algebra.p, l, t=t_frac, term_bound=4) - algebra.p
     d_pix = algebra.heisenberg_evolve(algebra.pi_x, l, t=t_frac, term_bound=4) - algebra.pi_x
-    return n_op, d_op, d_pix
+    return (n_op, d_op, algebra.multiply(n_op, n_op), algebra.multiply(d_op, d_op),
+            algebra.multiply(d_pix, d_pix), algebra.commutator(n_op, d_op))
 
 
 @dataclass
@@ -113,12 +121,12 @@ def error_disturbance(target: PhaseState, device: PhaseState, t) -> EDReport:
     evaluated against the initial states; nothing is propagated.
     """
     t = float(t)
-    n_op, d_op, d_pix = _pointer_operators(t)
+    n_op, d_op, n_sq, d_sq, d_pix_sq, comm = _pointer_algebra(t)
 
-    eps_sq = expectation_of_expr(algebra.multiply(n_op, n_op), target, device).real
-    eta_sq = expectation_of_expr(algebra.multiply(d_op, d_op), target, device).real
-    eta_pix_sq = expectation_of_expr(algebra.multiply(d_pix, d_pix), target, device).real
-    comm_nd = expectation_of_expr(algebra.commutator(n_op, d_op), target, device)
+    eps_sq = expectation_of_expr(n_sq, target, device).real
+    eta_sq = expectation_of_expr(d_sq, target, device).real
+    eta_pix_sq = expectation_of_expr(d_pix_sq, target, device).real
+    comm_nd = expectation_of_expr(comm, target, device)
 
     epsilon = math.sqrt(max(eps_sq, 0.0))
     eta = math.sqrt(max(eta_sq, 0.0))

@@ -256,20 +256,24 @@ def test_save_state_returns_digest_of_bytes_written(tmp_path, grid):
 
 @pytest.mark.parametrize("cores", [2, 1])
 def test_save_state_digest_of_large_state(tmp_path, monkeypatch, cores):
-    # 32^4 reaches the shear engine's parallel threshold: with a pool, a
-    # pool thread hashes the amplitude while the calling thread writes it
+    # a 32^4 pair and a 256^2 state reach the shear engine's parallel
+    # threshold: with a pool, a pool thread hashes the amplitude while the
+    # calling thread writes it
     from kvnlab import dynamics as dyn
 
     rng = np.random.default_rng(16)
     g = ps.Grid2D(32, 32, -4.0, 4.0, -4.0, 4.0)
     amp = rng.standard_normal((32,) * 4) + 1j * rng.standard_normal((32,) * 4)
-    s = ps.BipartiteState(g, g, (False, True, True, False), amp)
-    assert amp.size >= dyn._PARALLEL_MIN
+    flat = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    states = (ps.BipartiteState(g, g, (False, True, True, False), amp),
+              ps.PhaseState(ps.Grid2D(256, 256, -16.0, 16.0, -8.0, 8.0), "x_pip", flat))
     path = tmp_path / "big.state"
     with CountingPool(1) as pool:
         monkeypatch.setattr(dyn, "_pool", (pool, 2) if cores == 2 else (None, 1))
-        assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert pool.submitted == (1 if cores == 2 else 0)
+        for s in states:
+            assert s.amp.size >= dyn._PARALLEL_MIN
+            assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert pool.submitted == (2 if cores == 2 else 0)
 
 
 def test_state_container_rejects_foreign_files(tmp_path):

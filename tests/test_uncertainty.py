@@ -125,6 +125,28 @@ def test_ozawa_like_slack_ensemble(grid):
         assert abs(un.check_ozawa_like(rep) - rep.slack_ozawa_like) < 1e-12
 
 
+def test_ensemble_derives_pointer_algebra_once_per_time(grid, monkeypatch):
+    # N, D and the pi_x disturbance do not depend on the state: 5 members
+    # at one t cost one derivation (3 Heisenberg evolutions), not 5
+    from kvnlab import algebra
+
+    calls = []
+    evolve = algebra.heisenberg_evolve
+    monkeypatch.setattr(algebra, "heisenberg_evolve",
+                        lambda *args, **kwargs: calls.append(args[0]) or evolve(*args, **kwargs))
+    un._pointer_algebra.cache_clear()
+    rng = np.random.default_rng(41)
+    reports = [un.error_disturbance(random_gaussian(grid, rng), random_gaussian(grid, rng), 0.7)
+               for _ in range(5)]
+    assert len(calls) == 3
+    # a fresh derivation gives the same report
+    un._pointer_algebra.cache_clear()
+    rng = np.random.default_rng(41)
+    assert un.error_disturbance(random_gaussian(grid, rng), random_gaussian(grid, rng),
+                                0.7) == reports[0]
+    assert len(calls) == 6
+
+
 def test_ozawa_slack_grows_with_device_conjugate_spread(grid):
     target = ps.make_gaussian(grid, 0.0, 0.0, 0.8, 0.8)
     narrow = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 0.6)
