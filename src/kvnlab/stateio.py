@@ -27,8 +27,10 @@ def save_state(state, path):
     Returns the sha256 hex digest of the bytes written.  An amplitude large
     enough for the shear engine's thread pool (dynamics._PARALLEL_MIN
     elements: a 256^2 state, a 16^4 pair and up) is hashed on a pool thread
-    while this one writes it; both release the GIL.  Smaller ones, and any
-    when only one core is usable, are hashed on this thread.
+    while this one writes it; both release the GIL.  If the pool thread has
+    not started the hash when the write is done, this thread hashes it.
+    Smaller ones, and any when only one core is usable, are hashed on this
+    thread.
     """
     axes = state.axes()
     header = b"".join([
@@ -51,7 +53,12 @@ def save_state(state, path):
             try:
                 fh.write(data)
             finally:
-                hashed.result()
+                # as in dynamics._split: a hash the pool has not started
+                # runs here instead of being waited for
+                if hashed.cancel():
+                    digest.update(data)
+                else:
+                    hashed.result()
     return digest.hexdigest()
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,52 @@ def test_threaded_factor_is_bit_identical_to_serial(monkeypatch, shape, axis, co
     assert threaded == serial
     # 2**16 elements and up split: 256^2 does, 256x128 does not
     assert pool.submitted == (3 * (cores - 1) if amp.size >= 1 << 16 else 0)
+
+
+def test_split_runs_every_slab_once(monkeypatch):
+    # the calling thread and the pool tasks take slabs from one shared list;
+    # with more threads than cores and a short switch interval, every slab
+    # still runs exactly once
+    arr = np.zeros((256, 256))
+
+    def block(idx):
+        arr[idx] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CountingPool(7) as pool:
+            monkeypatch.setattr(dyn, "_pool", (pool, 8))
+            for _ in range(50):
+                dyn._split(arr, (1,), block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (arr == 50).all()
+    assert pool.submitted == 7 * 50
+
+
+def test_split_does_not_wait_for_a_busy_pool(monkeypatch):
+    # a pool thread that does not get to its task (here it is busy with
+    # another) costs no wait: the calling thread runs every slab and
+    # cancels the task
+    release = threading.Event()
+    arr = np.zeros((256, 256))
+    ran_on = set()
+
+    def block(idx):
+        ran_on.add(threading.get_ident())
+        arr[idx] += 1
+
+    with CountingPool(1) as pool:
+        busy = pool.submit(release.wait, 10.0)
+        monkeypatch.setattr(dyn, "_pool", (pool, 2))
+        try:
+            dyn._split(arr, (0,), block)
+            assert not busy.done()
+        finally:
+            release.set()
+    assert ran_on == {threading.get_ident()}
+    assert (arr == 1).all()
 
 
 def test_observed_256_flight_is_bit_identical_to_serial(monkeypatch):

@@ -276,6 +276,29 @@ def test_save_state_digest_of_large_state(tmp_path, monkeypatch, cores):
     assert pool.submitted == (2 if cores == 2 else 0)
 
 
+def test_save_state_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
+    # a hash the pool thread has not started when the write is done (here
+    # the thread is busy with another task) runs on the calling thread
+    import threading
+
+    from kvnlab import dynamics as dyn
+
+    release = threading.Event()
+    rng = np.random.default_rng(17)
+    flat = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    s = ps.PhaseState(ps.Grid2D(256, 256, -16.0, 16.0, -8.0, 8.0), "x_pip", flat)
+    path = tmp_path / "big.state"
+    with CountingPool(1) as pool:
+        busy = pool.submit(release.wait, 10.0)
+        monkeypatch.setattr(dyn, "_pool", (pool, 2))
+        try:
+            assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert not busy.done()
+        finally:
+            release.set()
+    assert pool.submitted == 2
+
+
 def test_state_container_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.state"
     bad.write_bytes(b"NOTASTATE" + b"\x00" * 64)
