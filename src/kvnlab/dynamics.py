@@ -19,7 +19,13 @@ a shear is linear in its duration, a fused check covers every step it
 replaced.  Each factor carries the error its guard raises: UnstablePlan
 for the propagators' shears, ShiftOverflow for the pointer coupling.  The
 pulsed run is one such program, so its device flight, which commutes with
-the coupling, is one shear.
+the coupling, is one shear.  With an observer the steps stay apart, but
+where the last factor of a step merges with the first of the next, as
+Strang half kicks do, the two run in one pass over the array: a transform,
+the trailing phase, an inverse transform into a fresh array for the
+observer, the leading phase and the inverse transform back.  An observed
+Strang step is thus 2 passes and 5 transforms, not 3 and 6; the leading
+factor's guard reads the observed amplitude after the observer has seen it.
 
 Until the coupling, a product state stays a product.  product_state keeps
 the target and device factors; without an observer, the leading factors of
@@ -347,11 +353,12 @@ def _split(arr, axes, block):
     1-D line along ``axes`` lies whole in one slab, so transforms along them
     are bit-identical to the serial ones.
 
-    On a 2-vCPU KVM guest, an evolve_2d pass makes 600 splits.  With the
-    host quiet the calling thread takes the pool's slab in 0-5 of them, and
-    passes time the same as with a caller that always waits.  Under host
-    load it took 10-72 per pass, and the pass was faster in 10 of 15 paired
-    rounds (up to 1.50 -> 0.94 s).
+    An evolve_2d pass makes 401 splits.  Measured on a 2-vCPU KVM guest
+    when it made 600, one per factor: with the host quiet the calling
+    thread took the pool's slab in 0-5 of them, and passes timed the same
+    as with a caller that always waits.  Under host load it took 10-72 per
+    pass, and the pass was faster in 10 of 15 paired rounds (up to 1.50 ->
+    0.94 s).
     """
     free = [i for i in range(arr.ndim) if i not in axes]
     executor, cores = _executor() if arr.size >= _PARALLEL_MIN and free else (None, 1)
@@ -397,6 +404,21 @@ def _apply(src, dst, axis, phase):
     _split(src, (axis,), block)
 
 
+def _apply_pair(src, dst, seen, axis, trail, lead):
+    """seen = ifft(S) and dst = ifft(S * lead) with S = fft(src) * trail
+    along ``axis``, in one pass over the slabs of _split; ``dst`` may be
+    ``src``.  ``seen`` holds the same bits as _apply with ``trail`` alone.
+    """
+    def block(idx):
+        out = np.fft.fft(src[idx], axis=axis, out=dst[idx])
+        out *= _cut(trail, idx)
+        np.fft.ifft(out, axis=axis, out=seen[idx])
+        out *= _cut(lead, idx)
+        np.fft.ifft(out, axis=axis, out=out)
+
+    _split(src, (axis,), block)
+
+
 def _propagate(s, steps, after_step=None, check_wrap=True):
     """Apply ``steps``, each a list of shears, to the field ``s``.
 
@@ -406,9 +428,15 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
     all steps fuse, and on a product state the leading factors that act
     within one subsystem run on its 2D factors (see _local_head) and the
     factors from the first coupling one on that are diagonal together are
-    applied as the 4D amplitude is formed (see _form).  With ``check_wrap``
-    each factor first checks the wrap mass of the density it is applied to
-    and raises its ``error`` above 1e-6.
+    applied as the 4D amplitude is formed (see _form).  With it, where the
+    last factor of a step merges with the first of the next, as Strang half
+    kicks do, both run in one pass (see _apply_pair): the observer gets a
+    fresh array of the step's amplitude, and the working array goes on
+    from the next step's first factor.  A step of one factor that ran in
+    such a pass has none left, and hands over the working array.  With
+    ``check_wrap`` each factor first checks the wrap mass of the density it
+    is applied to and raises its ``error`` above 1e-6; a merged leading
+    factor checks the observed amplitude once ``after_step`` has returned.
     """
     coord = s.with_conj((False,) * len(s.conj_flags))
     axes, names = coord.axes(), coord.axis_names
@@ -417,13 +445,16 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         steps = [program if any(f.curv for f in program) else _fuse(program)]
     compiled = {}
 
+    def phase_of(f, axis, ndim):
+        key = (ndim, f.axis, id(f.shift), f.tau, f.curv)
+        if key not in compiled:
+            compiled[key] = _compile(f, axis, ndim, check_wrap)
+        return compiled[key]
+
     def checked_phase(amp, f, axis, weight, name):
         # the phase of f on a field of amp.ndim axes, once the wrap mass of
         # |amp|^2 * weight has passed f's guard
-        key = (amp.ndim, f.axis, id(f.shift), f.tau, f.curv)
-        if key not in compiled:
-            compiled[key] = _compile(f, axis, amp.ndim, check_wrap)
-        phase, edges = compiled[key]
+        phase, edges = phase_of(f, axis, amp.ndim)
         if edges is not None:
             mass = _edge_mass(amp, edges) * weight
             if mass > _WRAP_LIMIT:
@@ -438,6 +469,15 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         _apply(amp, out, f.axis, phase)
         return out
 
+    def shear_pair(amp, f, g, axis, weight, name):
+        # f and then g, which merges with f, in one pass: the amplitude
+        # between them and the one after both; g's guard is left to the caller
+        phase = checked_phase(amp, f, axis, weight, name)
+        out = amp if amp.flags.writeable else np.empty_like(amp)
+        seen = np.empty_like(amp)
+        _apply_pair(amp, out, seen, f.axis, phase, phase_of(g, axis, amp.ndim)[0])
+        return seen, out
+
     entry = None
     if after_step is None and getattr(coord, "factors", None) is not None:
         parts, rest = _local_head(coord, steps[0], shear)
@@ -449,11 +489,24 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         amp, steps = _form(coord, parts, block, checked_phase), [rest[len(block):]]
     else:
         amp = entry = coord.amp
+    weight = coord.cell_measure()
+    merged = False  # the first factor of this step ran in the last step's pass
     for i, step in enumerate(steps):
-        for f in step:
-            amp = shear(amp, f, axes[f.axis], coord.cell_measure(), names[f.axis])
-        if after_step is not None:
-            after_step(i, amp)
+        todo = step[1:] if merged else step
+        following = steps[i + 1] if after_step is not None and i + 1 < len(steps) else []
+        merged = bool(todo and following) and todo[-1].merges_with(following[0])
+        for f in todo[:-1] if merged else todo:
+            amp = shear(amp, f, axes[f.axis], weight, names[f.axis])
+        if not merged:
+            if after_step is not None:
+                after_step(i, amp)
+            continue
+        lead = following[0]
+        seen, amp = shear_pair(amp, todo[-1], lead, axes[lead.axis], weight, names[lead.axis])
+        after_step(i, seen)
+        checked_phase(seen, lead, axes[lead.axis], weight, names[lead.axis])
+        # drop the observed array before the next pass makes another
+        del seen
     return coord if amp is entry else coord._clone(coord.conj_flags, amp)
 
 
@@ -618,8 +671,10 @@ def kvn_evolve(s, h, plan, observer=None, check_stability=True):
 
     Returns the state in the xp representation.  ``observer(step, state)``
     is called after every step with the xp state; without one, adjacent
-    factors fuse across steps.  Raises UnstablePlan when a shear would wrap
-    more than 1e-6 of the probability around the periodic box.
+    factors fuse across steps, and with one, a step's trailing half kick
+    and the next step's leading one share a pass.  Raises UnstablePlan when
+    a shear would wrap more than 1e-6 of the probability around the
+    periodic box.
     """
     if plan.hbar != 0.0:
         raise ValueError("kvn_evolve requires a plan with hbar=0")

@@ -515,8 +515,10 @@ def test_split_does_not_wait_for_a_busy_pool(monkeypatch):
 
 
 def test_observed_256_flight_is_bit_identical_to_serial(monkeypatch):
-    # a 256^2 state reaches the parallel threshold: each observed step runs
-    # its kick, drift and kick on two slabs, one of them on the pool
+    # a 256^2 state reaches the parallel threshold: each factor runs on two
+    # slabs, one of them on the pool.  The first step runs its kick and
+    # drift, each later one its drift, and each but the last a pass with
+    # its trailing and the next step's leading kick
     grid = ps.Grid2D(256, 256, -16.0, 16.0, -8.0, 8.0)
     s = ps.make_gaussian(grid, -4.0, 0.0, 0.5, 0.25)
     h = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
@@ -533,7 +535,89 @@ def test_observed_256_flight_is_bit_identical_to_serial(monkeypatch):
         threaded = run((pool, 2))
     assert threaded == serial
     assert len(serial[0]) == 20
-    assert pool.submitted == 3 * 20
+    assert pool.submitted == 2 * 20 + 1
+
+
+def _step_loop(s, steps):
+    """The amplitude of the xp state ``s`` after each of ``steps``, one
+    dynamics._apply per factor, and where the loop stopped: (step, factor,
+    wrap mass) of the first factor whose wrapped cells (wrapped_mass) hold
+    more than 1e-6, or None."""
+    axes = s.axes()
+    amp = s.amp.copy()
+    seen = []
+    for i, step in enumerate(steps):
+        for j, f in enumerate(step):
+            mass = wrapped_mass(amp, axes[f.axis], f.axis, f.tau * f.shift) * s.cell_measure()
+            if mass > 1e-6:
+                return seen, (i, j, mass)
+            dyn._apply(amp, amp, f.axis, dyn._compile(f, axes[f.axis], 2, False)[0])
+        seen.append(amp.copy())
+    return seen, None
+
+
+# passes: the _split passes of 20 observed steps
+@pytest.mark.parametrize("n, h, splitting, hbar, passes", [
+    (64, dyn.HamiltonianSpec.harmonic(1.0, 1.0), "strang", 0.0, 2 * 20 + 1),
+    (256, dyn.HamiltonianSpec.harmonic(1.0, 1.0), "strang", 0.0, 2 * 20 + 1),
+    # one factor per step: each pass runs two steps' shears
+    (64, dyn.HamiltonianSpec.free(1.0), "strang", 0.0, 20 // 2),
+    # deformed factors (curv != 0) under the boundary-mass check
+    (64, dyn.HamiltonianSpec.harmonic(1.0, 1.0), "strang", 0.1, 2 * 20 + 1),
+    # the potential kick does not merge with the next kinetic shear
+    (64, dyn.HamiltonianSpec.harmonic(1.0, 1.0), "lie", 0.0, 2 * 20),
+])
+def test_observed_flight_matches_step_loop(monkeypatch, n, h, splitting, hbar, passes):
+    grid = ps.Grid2D(n, n, -12.0, 12.0, -8.0, 8.0)
+    s = ps.make_gaussian(grid, -2.0, 0.5, 0.8, 0.5)
+    plan = dyn.PropagationPlan(0.05, 20, splitting, hbar)
+    split, splits = dyn._split, []
+    monkeypatch.setattr(dyn, "_split", lambda *args: (splits.append(1), split(*args)))
+    seen = []
+    out = dyn.qm_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
+    monkeypatch.setattr(dyn, "_split", split)
+    assert len(splits) == passes
+    a, b = dyn.DEFORM_CONVENTIONS["full_appendixE"] if hbar else (-1.0, 1.0)
+    step = dyn._split_step(dyn._generators(s.axes(), ((0, h),), hbar, a, b), plan.dt, splitting)
+    ref, stop = _step_loop(s, [step] * plan.n_steps)
+    assert stop is None and len(seen) == len(ref) == plan.n_steps
+    assert np.array_equal(seen[0], ref[0])
+    if splitting == "lie":
+        assert all(np.array_equal(x, y) for x, y in zip(seen, ref))
+        assert np.array_equal(out.amp, ref[-1])
+    for x, y in zip(seen + [out.amp], ref + ref[-1:]):
+        assert np.abs(x - y).max() < 1e-13
+
+
+def test_observed_flight_raises_where_the_step_loop_stops():
+    # the harmonic orbit reaches p = 4 at the edge of the box; the first
+    # factor to wrap too much is the leading half kick of step 12
+    grid = ps.Grid2D(64, 64, -8.0, 8.0, -4.0, 4.0)
+    s = ps.make_gaussian(grid, -4.0, 0.0, 0.5, 0.25)
+    h = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
+    plan = dyn.PropagationPlan(0.05, 40)
+    step = dyn._split_step(dyn._generators(s.axes(), ((0, h),)), plan.dt, "strang")
+    _, (k, j, mass) = _step_loop(s, [step] * plan.n_steps)
+    assert (k, j) == (12, 0)
+    calls = []
+    with pytest.raises(UnstablePlan) as err:
+        dyn.kvn_evolve(s, h, plan, observer=lambda i, st: calls.append(i))
+    assert calls == list(range(k))
+    assert str(err.value) == f"potential kick wraps {mass:.3e} of the mass around the p range"
+
+    # an observer that raises stops the run at that step
+    class Stop(Exception):
+        pass
+
+    def observer(i, st):
+        calls.append(i)
+        if i == 3:
+            raise Stop
+
+    calls.clear()
+    with pytest.raises(Stop):
+        dyn.kvn_evolve(s, h, plan, observer=observer)
+    assert calls == [0, 1, 2, 3]
 
 
 def _pulsed_pair():
