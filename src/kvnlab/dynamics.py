@@ -7,8 +7,19 @@ lambda*x*P moves p by -lambda*t*P and X by lambda*t*x.  Each factor is a
 pure phase where its own axis is conjugate and every other axis is a
 coordinate, so one engine applies them all as ifft(fft(a) * phase) along
 that axis; the axis phases of the representation changes cancel and are
-never formed.  The propagators are unitary to machine precision, and for
-quadratic T and V Strang splitting is second order.
+never formed.  For quadratic T and V Strang splitting is second order.
+
+At hbar = 0 the flow keeps a real amplitude real, and every state the CLI
+builds is real, so a real 2D amplitude under pure shears runs on float64
+arrays as irfft(rfft(a) * phase).  On the lattice the Nyquist bin, which
+has no partner, breaks realness: irfft keeps its real part, so the bin is
+multiplied by cos(k_N*shift), a contraction, and each pass gives the real
+part of the complex one.  A flight counts the squared norm this drops; a
+pass that would take it past 1e-12 is discarded, and from its input that
+factor and every later one run on the complex path, unitary to machine
+precision.  4D amplitudes stay complex: the product path forms them from
+complex spectra, and a real materialized state would part from it by up to
+1.9e-6, where the tests hold the two to 1e-13.
 
 Where no observer needs the state in between, factors on the same axis
 with the same generator fuse: a V = 0 flight of n steps is one shear per
@@ -21,36 +32,25 @@ for the propagators' shears, ShiftOverflow for the pointer coupling.  The
 pulsed run is one such program, so its device flight, which commutes with
 the coupling, is one shear.  With an observer the steps stay apart, but
 where the last factor of a step merges with the first of the next, as
-Strang half kicks do, the two run in one pass over the array: a transform,
-the trailing phase, an inverse transform into a fresh array for the
-observer, the leading phase and the inverse transform back.  An observed
-Strang step is thus 2 passes and 5 transforms, not 3 and 6; the leading
-factor's guard reads the observed amplitude after the observer has seen it.
+Strang half kicks do, the two run in one pass over the array (see _pass):
+an observed Strang step is 2 passes and 5 transforms, not 3 and 6.  The
+leading factor's guard reads the observed amplitude after the observer.
 
-Until the coupling, a product state stays a product.  product_state keeps
-the target and device factors; without an observer, the leading factors of
-a program that act within one subsystem run on that subsystem's 2D factor,
-each guarded with the 4D wrap mass: the 2D one times the other factor's
-mass.  The 4D amplitude is formed once, at the first factor that couples
-the two, and the factors from there on that are phases in one shared
-representation are applied as it is formed: the momentum kick and the
-pointer shift are both diagonal in (x, pi_p, pi_X, P), so the target is
-transformed along p, the device along X, their outer product is multiplied
-by both phases, and one inverse transform per axis returns it to
-coordinates.  Their guards read the 4D wrap mass off the product of the two
-factors' marginals.  The remaining factors run in place on that buffer; a
-program with no coupling factor returns a product state again.
+Until the coupling, a product state stays a product.  Without an
+observer, the leading factors of a program that act within one subsystem
+run on that subsystem's 2D factor (see _local_head), and the 4D amplitude
+is formed once, at the first factor that couples the two, with the factors
+from there on that are phases in one shared representation, the momentum
+kick and the pointer shift, applied as it is formed (see _form).  The rest
+run in place on that buffer; a program with no coupling factor returns a
+product state again.
 
 A factor on an array of at least 2**16 elements (a 256^2 state, a 16^4
-pair and up) runs on every usable core: the array is cut along another axis
-into one block per core, and the calling thread and a thread pool started
-by the first such factor take blocks until none is left; the inverse
-transforms of a formed coupling are cut the same way.  An observed 256^2
-flight thus runs its momentum kicks on row halves and its drifts on column
-halves.  Each block computes the same 1-D transforms and products as the
-whole array, so the result is bit-identical to the serial one.  The usable
-cores are the process's CPU affinity, so ``taskset -c 0`` keeps every
-factor serial.
+pair and up) runs on every usable core, one slab per core (see _split), as
+do the inverse transforms of a formed coupling: an observed 256^2 flight
+runs its momentum kicks on row halves and its drifts on column halves.  The
+result is bit-identical to the serial one.  The usable cores are the
+process's CPU affinity, so ``taskset -c 0`` keeps every factor serial.
 
 The hbar-deformed propagator evolves H(x + a*hbar*pi_p, p + b*hbar*pi_x)
 with (a, b) fixed by a deformation convention.  Its factors carry a pi^2
@@ -71,12 +71,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra
-from .errors import (
-    IllegalHamiltonian,
-    ShiftOverflow,
-    UnstablePlan,
-    UnsupportedHamiltonian,
-)
+from .errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 from . import phasespace
 from .phasespace import PhaseState, boundary_mass, l2_distance, product_state
 
@@ -84,9 +79,11 @@ DEFORM_CONVENTIONS = {name: (float(a), float(b)) for name, (a, b) in algebra.DEF
 
 _BOUNDARY_GROWTH_LIMIT = 1e-6
 _WRAP_LIMIT = 1e-6
+# the most squared norm a real-path flight may drop at its Nyquist bins
+_NYQUIST_LIMIT = 1e-12
 
 # A factor on at least this many elements runs in one block per usable core.
-# Serial time over two-slab time of one factor, _apply along each axis, best
+# Serial time over two-slab time of one complex _pass along each axis, best
 # of 9 x 50 (x 10 from 2**18), two runs, on a 2-vCPU Intel Xeon KVM guest
 # with Python 3.11 and numpy 2.4:
 #   128^2 0.59-0.87 | 256x128, 128x256 0.67-1.20 | 256^2 1.22-1.94
@@ -320,7 +317,7 @@ def _edges(axis, dim, shift, ndim):
 
 def _edge_mass(amp, edges):
     """Sum of |amp|^2 over the cells of ``edges`` (from _edges); ``amp`` is
-    complex128."""
+    complex128, or float64 where they are gathered, as on every 2D field."""
     total = 0.0
     for index, spec, weight in edges:
         if spec is None:
@@ -332,10 +329,12 @@ def _edge_mass(amp, edges):
     return total
 
 
-def _compile(f, axis, ndim, check_wrap):
-    """The phase array of ``f`` on an ``ndim``-axis field and, when
-    guarded, its wrapped cells (see _edges)."""
-    k = _along(axis.conj_coords(), f.axis, ndim)
+def _compile(f, axis, ndim, check_wrap, real=False):
+    """The phase array of ``f`` on an ``ndim``-axis field, on the half
+    spectrum 2*pi*rfftfreq(n, d) when ``real``, and, when guarded, its
+    wrapped cells (see _edges)."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(axis.n, axis.d) if real else axis.conj_coords()
+    k = _along(k, f.axis, ndim)
     arg = f.shift * k if not f.curv else f.shift * k + f.curv * k**2
     edges = _edges(axis, f.axis, f.tau * f.shift, ndim) if check_wrap else None
     return np.exp(-1j * f.tau * arg), edges
@@ -353,12 +352,8 @@ def _split(arr, axes, block):
     1-D line along ``axes`` lies whole in one slab, so transforms along them
     are bit-identical to the serial ones.
 
-    An evolve_2d pass makes 401 splits.  Measured on a 2-vCPU KVM guest
-    when it made 600, one per factor: with the host quiet the calling
-    thread took the pool's slab in 0-5 of them, and passes timed the same
-    as with a caller that always waits.  Under host load it took 10-72 per
-    pass, and the pass was faster in 10 of 15 paired rounds (up to 1.50 ->
-    0.94 s).
+    On a loaded 2-vCPU KVM guest the caller took 10-72 of 600 pool slabs
+    per evolve_2d pass, and passes were faster in 10 of 15 paired rounds.
     """
     free = [i for i in range(arr.ndim) if i not in axes]
     executor, cores = _executor() if arr.size >= _PARALLEL_MIN and free else (None, 1)
@@ -391,64 +386,65 @@ def _cut(phase, idx):
     return phase[idx] if phase.shape[len(idx) - 1] > 1 else phase
 
 
-def _apply(src, dst, axis, phase):
-    """dst = ifft(fft(src) * phase) along ``axis``; ``dst`` may be ``src``.
+def _pass(src, dst, axis, phases, seen=None):
+    """dst = ifft(fft(src) * phases[0] * ...) along ``axis``, in one pass over
+    the slabs of _split; ``dst`` may be ``src``.  With ``seen``, the inverse
+    transform after the first of two phases is also written there.  A float64
+    ``src`` runs on the half spectrum, each phase followed by zeroing the
+    imaginary part irfft drops at the Nyquist bin, so a pair equals two single
+    passes; returns Im(S_N * phase)**2 / n summed over lines in line order."""
+    real, n = src.dtype == np.float64, src.shape[axis]
+    top = (slice(None),) * axis + (slice(-1, None),)  # the Nyquist bin
+    lost = np.zeros(src[top].shape) if real else None
+    inverse = np.fft.irfft if real else np.fft.ifft
 
-    Runs on the slabs of _split, so a large array uses every usable core.
-    """
     def block(idx):
-        out = np.fft.fft(src[idx], axis=axis, out=dst[idx])
-        out *= _cut(phase, idx)
-        np.fft.ifft(out, axis=axis, out=out)
+        out = dst[idx]
+        spec = np.fft.rfft(src[idx], axis=axis) if real else np.fft.fft(src[idx], axis=axis, out=out)
+        for k, phase in enumerate(phases):
+            if k:
+                inverse(spec, n, axis, out=seen[idx])
+            spec *= _cut(phase, idx)
+            if real:
+                lost[idx] += spec[top].imag ** 2
+                spec[top].imag = 0.0
+        inverse(spec, n, axis, out=out)
 
     _split(src, (axis,), block)
-
-
-def _apply_pair(src, dst, seen, axis, trail, lead):
-    """seen = ifft(S) and dst = ifft(S * lead) with S = fft(src) * trail
-    along ``axis``, in one pass over the slabs of _split; ``dst`` may be
-    ``src``.  ``seen`` holds the same bits as _apply with ``trail`` alone.
-    """
-    def block(idx):
-        out = np.fft.fft(src[idx], axis=axis, out=dst[idx])
-        out *= _cut(trail, idx)
-        np.fft.ifft(out, axis=axis, out=seen[idx])
-        out *= _cut(lead, idx)
-        np.fft.ifft(out, axis=axis, out=out)
-
-    _split(src, (axis,), block)
+    return float(lost.sum()) / n if real else 0.0
 
 
 def _propagate(s, steps, after_step=None, check_wrap=True):
     """Apply ``steps``, each a list of shears, to the field ``s``.
 
     Between factors the amplitude stays in the all-coordinate
-    representation, so a factor is ifft(fft(a) * phase) along its axis.
-    ``after_step(i, amp)`` runs after step i.  Without it, pure shears of
-    all steps fuse, and on a product state the leading factors that act
-    within one subsystem run on its 2D factors (see _local_head) and the
-    factors from the first coupling one on that are diagonal together are
-    applied as the 4D amplitude is formed (see _form).  With it, where the
-    last factor of a step merges with the first of the next, as Strang half
-    kicks do, both run in one pass (see _apply_pair): the observer gets a
-    fresh array of the step's amplitude, and the working array goes on
-    from the next step's first factor.  A step of one factor that ran in
-    such a pass has none left, and hands over the working array.  With
-    ``check_wrap`` each factor first checks the wrap mass of the density it
-    is applied to and raises its ``error`` above 1e-6; a merged leading
-    factor checks the observed amplitude once ``after_step`` has returned.
+    representation.  ``after_step(i, amp)`` runs after step i.  Without it,
+    pure shears of all steps fuse, and a product state takes the product
+    path (see _local_head and _form).  With it, where the last factor of a
+    step merges with the first of the next, both run in one pass (see
+    _pass): the observer gets a fresh array of the step's amplitude, and the
+    working array goes on from the next step's first factor.  A step of one
+    factor that ran in such a pass has none left, and hands over the working
+    array.  With ``check_wrap`` each factor first checks the wrap mass of the
+    density it is applied to and raises its ``error`` above 1e-6; a merged
+    leading factor checks the observed amplitude once ``after_step`` has
+    returned.  Real passes write out of place, into two buffers that take
+    turns, so a pass over _NYQUIST_LIMIT is discarded unseen.
     """
     coord = s.with_conj((False,) * len(s.conj_flags))
     axes, names = coord.axes(), coord.axis_names
+    factors = [f for step in steps for f in step]
     if after_step is None:
-        program = [f for step in steps for f in step]
-        steps = [program if any(f.curv for f in program) else _fuse(program)]
+        steps = [factors if any(f.curv for f in factors) else _fuse(factors)]
+    real = (isinstance(coord, PhaseState) and bool(factors)
+            and not any(f.curv for f in factors) and not coord.amp.imag.any())
     compiled = {}
+    lost, spare = 0.0, None  # Nyquist mass dropped so far; the idle real buffer
 
     def phase_of(f, axis, ndim):
-        key = (ndim, f.axis, id(f.shift), f.tau, f.curv)
+        key = (ndim, f.axis, id(f.shift), f.tau, f.curv, real)
         if key not in compiled:
-            compiled[key] = _compile(f, axis, ndim, check_wrap)
+            compiled[key] = _compile(f, axis, ndim, check_wrap, real)
         return compiled[key]
 
     def checked_phase(amp, f, axis, weight, name):
@@ -462,21 +458,23 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
                               f"{name} range")
         return phase
 
-    def shear(amp, f, axis, weight, name):
-        phase = checked_phase(amp, f, axis, weight, name)
-        # an array handed to an observer is frozen; write a fresh one then
-        out = amp if amp.flags.writeable else np.empty_like(amp)
-        _apply(amp, out, f.axis, phase)
-        return out
-
-    def shear_pair(amp, f, g, axis, weight, name):
-        # f and then g, which merges with f, in one pass: the amplitude
-        # between them and the one after both; g's guard is left to the caller
-        phase = checked_phase(amp, f, axis, weight, name)
-        out = amp if amp.flags.writeable else np.empty_like(amp)
-        seen = np.empty_like(amp)
-        _apply_pair(amp, out, seen, f.axis, phase, phase_of(g, axis, amp.ndim)[0])
-        return seen, out
+    def shear(amp, fs, axis, weight, name):
+        # fs, one factor or two that merge, in one pass: the amplitude between
+        # them (or None) and after them.  Only fs[0]'s guard runs here
+        nonlocal real, lost, spare
+        checked_phase(amp, fs[0], axis, weight, name)
+        while True:
+            # an array handed to an observer is frozen; write a fresh one then
+            out = spare if real else amp
+            out = out if out is not None and out.flags.writeable else np.empty_like(amp)
+            seen = np.empty_like(amp) if fs[1:] else None
+            # the real path is 2D, where the guard weight is the cell measure
+            dropped = weight * _pass(amp, out, fs[0].axis,
+                                     [phase_of(f, axis, amp.ndim)[0] for f in fs], seen)
+            if lost + dropped <= _NYQUIST_LIMIT:
+                lost, spare = lost + dropped, amp if real else None
+                return seen, out
+            real, amp = False, amp.astype(np.complex128)  # over budget: again, complex
 
     entry = None
     if after_step is None and getattr(coord, "factors", None) is not None:
@@ -488,7 +486,8 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         block = _diagonal_head(rest)
         amp, steps = _form(coord, parts, block, checked_phase), [rest[len(block):]]
     else:
-        amp = entry = coord.amp
+        entry = coord.amp
+        amp = entry.real.copy() if real else entry
     weight = coord.cell_measure()
     merged = False  # the first factor of this step ran in the last step's pass
     for i, step in enumerate(steps):
@@ -496,13 +495,13 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         following = steps[i + 1] if after_step is not None and i + 1 < len(steps) else []
         merged = bool(todo and following) and todo[-1].merges_with(following[0])
         for f in todo[:-1] if merged else todo:
-            amp = shear(amp, f, axes[f.axis], weight, names[f.axis])
+            amp = shear(amp, [f], axes[f.axis], weight, names[f.axis])[1]
         if not merged:
             if after_step is not None:
                 after_step(i, amp)
             continue
         lead = following[0]
-        seen, amp = shear_pair(amp, todo[-1], lead, axes[lead.axis], weight, names[lead.axis])
+        seen, amp = shear(amp, [todo[-1], lead], axes[lead.axis], weight, names[lead.axis])
         after_step(i, seen)
         checked_phase(seen, lead, axes[lead.axis], weight, names[lead.axis])
         # drop the observed array before the next pass makes another
@@ -534,8 +533,8 @@ def _local_head(s, program, shear):
             views[id(f.shift)] = f.shift.reshape(f.shift.shape[lo:lo + 2])
         other = parts[1 - side]
         weight = s.cell_measure() * float(np.vdot(other, other).real)
-        parts[side] = shear(parts[side], replace(f, axis=f.axis - lo, shift=views[id(f.shift)]),
-                            s.axes()[f.axis], weight, s.axis_names[f.axis])
+        parts[side] = shear(parts[side], [replace(f, axis=f.axis - lo, shift=views[id(f.shift)])],
+                            s.axes()[f.axis], weight, s.axis_names[f.axis])[1]
     return parts, []
 
 
@@ -644,8 +643,8 @@ def _coupling(axes, lam_t):
     ]
 
 
-def _evolve_2d(s, h, plan, hbar, a, b, observer, check_stability):
-    grid = s.grid
+def _evolve_2d(s, h, plan, a, b, observer, check_stability):
+    grid, hbar = s.grid, plan.hbar
     step = _split_step(_generators(s.axes(), ((0, h),), hbar, a, b), plan.dt, plan.splitting)
     band_check = check_stability and hbar != 0.0
     band = boundary_mass(s) if band_check else 0.0
@@ -672,30 +671,31 @@ def kvn_evolve(s, h, plan, observer=None, check_stability=True):
     Returns the state in the xp representation.  ``observer(step, state)``
     is called after every step with the xp state; without one, adjacent
     factors fuse across steps, and with one, a step's trailing half kick
-    and the next step's leading one share a pass.  Raises UnstablePlan when
-    a shear would wrap more than 1e-6 of the probability around the
-    periodic box.
+    and the next step's leading one share a pass.  A real state runs in
+    real arithmetic and stays real; it drops at most 1e-12 of its squared
+    norm at the Nyquist bins, and the flight goes on complex from the pass
+    that would drop more.  Raises UnstablePlan when a shear would wrap more
+    than 1e-6 of the probability around the periodic box.
     """
     if plan.hbar != 0.0:
         raise ValueError("kvn_evolve requires a plan with hbar=0")
-    return _evolve_2d(s, h, plan, 0.0, -1.0, 1.0, observer, check_stability)
+    return _evolve_2d(s, h, plan, -1.0, 1.0, observer, check_stability)
 
 
 def qm_evolve(s, h, plan, convention="full_appendixE", observer=None, check_stability=True):
     """Propagate with the hbar-deformed generator H(x_h, p_h).
 
-    ``plan.hbar == 0`` degenerates to kvn_evolve exactly.  The sign
-    convention fixes (a, b) in x_h = x + a*hbar*pi_p, p_h = p + b*hbar*pi_x.
-    For hbar > 0, raises UnstablePlan when one step grows the boundary-shell
-    mass by more than 1e-6.
+    ``plan.hbar == 0`` degenerates to kvn_evolve exactly, real path
+    included; for hbar > 0 a quadratic T or V adds pi^2 terms that keep the
+    flight on the complex path.  The sign convention fixes (a, b) in
+    x_h = x + a*hbar*pi_p, p_h = p + b*hbar*pi_x.  For hbar > 0, raises
+    UnstablePlan when one step grows the boundary-shell mass by more than
+    1e-6.
     """
     if convention not in DEFORM_CONVENTIONS:
         raise ValueError(f"unknown deformation convention {convention!r}")
-    if plan.hbar == 0.0:
-        return kvn_evolve(s, h, PropagationPlan(plan.dt, plan.n_steps, plan.splitting, 0.0),
-                          observer, check_stability)
-    a, b = DEFORM_CONVENTIONS[convention]
-    return _evolve_2d(s, h, plan, plan.hbar, a, b, observer, check_stability)
+    a, b = DEFORM_CONVENTIONS[convention] if plan.hbar else (-1.0, 1.0)
+    return _evolve_2d(s, h, plan, a, b, observer, check_stability)
 
 
 def couple_evolve(s, coupling, t, check_wrap=True):

@@ -182,6 +182,25 @@ def wrapped_mass(amp, axis, dim, shift):
     return float(np.sum(np.abs(amp[outside]) ** 2))
 
 
+def projected_step_loop(s, steps):
+    """The real amplitude of the real xp state ``s`` after each of
+    ``steps``: each factor is one complex pass of the shear engine
+    (dynamics._pass on a complex128 array) followed by taking the real
+    part, which is what the engine's real path computes.  No guards."""
+    from kvnlab import dynamics as dyn
+
+    axes = s.axes()
+    amp = s.amp.real.copy()
+    seen = []
+    for step in steps:
+        for f in step:
+            work = amp.astype(np.complex128)
+            dyn._pass(work, work, f.axis, [dyn._compile(f, axes[f.axis], 2, False)[0]])
+            amp = work.real.copy()
+        seen.append(amp)
+    return seen
+
+
 def pulsed_three_calls(s, h_target, h_device, eps, t1, t_total, plan):
     """The pulsed run as three engine programs: free flight, coupling, free flight."""
     from kvnlab import dynamics as dyn

@@ -13,7 +13,7 @@ from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 
 from _oracles import (CountingPool, dense_couple, dense_evolve, free_evolve_bipartite_steps,
-                      pulsed_three_calls, wrapped_mass)
+                      projected_step_loop, pulsed_three_calls, wrapped_mass)
 
 
 @pytest.fixture
@@ -214,6 +214,10 @@ def test_edge_slabs_hold_every_wrapped_cell(shape, dim, dep, cells):
     for s in (shift, np.maximum(shift, 0.0), np.minimum(shift, 0.0)):
         got = dyn._edge_mass(amp, dyn._edges(axis, dim, s, len(shape)))
         assert got == pytest.approx(wrapped_mass(amp, axis, dim, s), rel=1e-12)
+        if len(shape) == 2:
+            # a 2D guard gathers its cells, and serves the real path's float64 amplitudes
+            got = dyn._edge_mass(amp.real, dyn._edges(axis, dim, s, 2))
+            assert got == pytest.approx(wrapped_mass(amp.real, axis, dim, s), rel=1e-12)
 
 
 def test_qm_evolve_matches_dense_deformed_oracle():
@@ -540,9 +544,9 @@ def test_observed_256_flight_is_bit_identical_to_serial(monkeypatch):
 
 def _step_loop(s, steps):
     """The amplitude of the xp state ``s`` after each of ``steps``, one
-    dynamics._apply per factor, and where the loop stopped: (step, factor,
-    wrap mass) of the first factor whose wrapped cells (wrapped_mass) hold
-    more than 1e-6, or None."""
+    complex dynamics._pass per factor, and where the loop stopped: (step,
+    factor, wrap mass) of the first factor whose wrapped cells
+    (wrapped_mass) hold more than 1e-6, or None."""
     axes = s.axes()
     amp = s.amp.copy()
     seen = []
@@ -551,7 +555,7 @@ def _step_loop(s, steps):
             mass = wrapped_mass(amp, axes[f.axis], f.axis, f.tau * f.shift) * s.cell_measure()
             if mass > 1e-6:
                 return seen, (i, j, mass)
-            dyn._apply(amp, amp, f.axis, dyn._compile(f, axes[f.axis], 2, False)[0])
+            dyn._pass(amp, amp, f.axis, [dyn._compile(f, axes[f.axis], 2, False)[0]])
         seen.append(amp.copy())
     return seen, None
 
@@ -569,24 +573,99 @@ def _step_loop(s, steps):
 ])
 def test_observed_flight_matches_step_loop(monkeypatch, n, h, splitting, hbar, passes):
     grid = ps.Grid2D(n, n, -12.0, 12.0, -8.0, 8.0)
-    s = ps.make_gaussian(grid, -2.0, 0.5, 0.8, 0.5)
+    g = ps.make_gaussian(grid, -2.0, 0.5, 0.8, 0.5)
     plan = dyn.PropagationPlan(0.05, 20, splitting, hbar)
-    split, splits = dyn._split, []
-    monkeypatch.setattr(dyn, "_split", lambda *args: (splits.append(1), split(*args)))
-    seen = []
-    out = dyn.qm_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
-    monkeypatch.setattr(dyn, "_split", split)
-    assert len(splits) == passes
     a, b = dyn.DEFORM_CONVENTIONS["full_appendixE"] if hbar else (-1.0, 1.0)
-    step = dyn._split_step(dyn._generators(s.axes(), ((0, h),), hbar, a, b), plan.dt, splitting)
+    step = dyn._split_step(dyn._generators(g.axes(), ((0, h),), hbar, a, b), plan.dt, splitting)
+    split = dyn._split
+    # the real Gaussian takes the real path unless a factor is deformed;
+    # times e^{0.3i} it takes the complex path
+    for phase in (1.0, np.exp(0.3j)):
+        s = ps.PhaseState(grid, "xp", g.amp * phase)
+        splits, seen = [], []
+        monkeypatch.setattr(dyn, "_split", lambda *args: (splits.append(1), split(*args)))
+        out = dyn.qm_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
+        monkeypatch.setattr(dyn, "_split", split)
+        assert len(splits) == passes
+        if phase == 1.0 and not hbar:
+            ref = projected_step_loop(s, [step] * plan.n_steps)
+            assert len(seen) == len(ref) == plan.n_steps
+            assert not any(x.imag.any() for x in seen + [out.amp])
+        else:
+            ref, stop = _step_loop(s, [step] * plan.n_steps)
+            assert stop is None and len(seen) == len(ref) == plan.n_steps
+            assert np.array_equal(seen[0], ref[0])
+            if splitting == "lie":
+                assert all(np.array_equal(x, y) for x, y in zip(seen, ref))
+                assert np.array_equal(out.amp, ref[-1])
+        for x, y in zip(seen + [out.amp], ref + ref[-1:]):
+            assert np.abs(x - y).max() < 1e-13
+
+
+@pytest.mark.parametrize("shape, axis", [((64, 32), 0), ((64, 32), 1), ((256, 256), 1),
+                                         ((16,) * 4, 2)])
+def test_real_pass_is_the_projected_complex_pass(shape, axis):
+    # on a float64 array one factor, and a merged pair, equal the complex
+    # pass followed by .real, and the pass returns the squared norm .real drops
+    rng = np.random.default_rng(axis + len(shape))
+    a = rng.standard_normal(shape)
+    ax = ps.Axis(shape[axis], -4.0, 4.0)
+    view = [1] * len(shape)
+    view[axis - 1] = shape[axis - 1]
+    shift = rng.uniform(-3.0, 3.0, shape[axis - 1]).reshape(view)
+    fs = [dyn._Shear(axis, shift, 0.3), dyn._Shear(axis, shift, 0.7)]
+
+    def projected(src, f):
+        work = src.astype(np.complex128)
+        dyn._pass(work, work, axis, [dyn._compile(f, ax, len(shape), False)[0]])
+        return work.real.copy(), float(np.sum(work.imag ** 2))
+
+    phases = [dyn._compile(f, ax, len(shape), False, True)[0] for f in fs]
+    one, seen, two = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    dropped_one = dyn._pass(a, one, axis, phases[:1])
+    dropped_two = dyn._pass(a, two, axis, phases, seen)
+    ref_one, lost_one = projected(a, fs[0])
+    ref_two, lost_two = projected(ref_one, fs[1])
+    assert np.array_equal(seen, one)
+    assert np.abs(one - ref_one).max() <= 1e-15 * np.abs(ref_one).max()
+    assert np.abs(two - ref_two).max() <= 1e-15 * np.abs(ref_two).max()
+    assert dropped_one == pytest.approx(lost_one, rel=1e-9)
+    assert dropped_two == pytest.approx(lost_one + lost_two, rel=1e-9)
+
+
+def test_real_flight_keeps_to_the_nyquist_budget(monkeypatch):
+    # a Gaussian 2 cells wide carries mass at the Nyquist bins: on the real
+    # path alone this flight drops 3.1e-10 of its squared norm, crossing 1e-12
+    # between steps 20 and 25.  The pass that would cross it runs again on
+    # the complex path, as does every later one
+    grid = ps.Grid2D(256, 256, -16.0, 16.0, -8.0, 8.0)
+    s = ps.make_gaussian(grid, -4.0, 0.0, 0.25, 0.125)
+    h = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
+    plan = dyn.PropagationPlan(0.05, 40)
+
+    def run(pool):
+        monkeypatch.setattr(dyn, "_pool", pool)
+        seen = []
+        out = dyn.kvn_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
+        return seen + [out.amp]
+
+    with CountingPool(1) as pool:
+        threaded = run((pool, 2))
+    serial = run((None, 1))
+    assert pool.submitted > 0
+    assert all(np.array_equal(x, y) for x, y in zip(threaded, serial))
+    assert 1.0 - np.sum(np.abs(serial[-1]) ** 2) * s.cell_measure() <= 1e-12 + 1e-14
+    crossed = [i for i, amp in enumerate(serial) if amp.imag.any()][0]
+    assert 20 <= crossed < 25 and all(amp.imag.any() for amp in serial[crossed:])
+    step = dyn._split_step(dyn._generators(s.axes(), ((0, h),)), plan.dt, "strang")
     ref, stop = _step_loop(s, [step] * plan.n_steps)
-    assert stop is None and len(seen) == len(ref) == plan.n_steps
-    assert np.array_equal(seen[0], ref[0])
-    if splitting == "lie":
-        assert all(np.array_equal(x, y) for x, y in zip(seen, ref))
-        assert np.array_equal(out.amp, ref[-1])
-    for x, y in zip(seen + [out.amp], ref + ref[-1:]):
-        assert np.abs(x - y).max() < 1e-13
+    assert stop is None
+    for x, y in zip(serial, ref + ref[-1:]):
+        assert math.sqrt(np.sum(np.abs(x - y) ** 2) * s.cell_measure()) < 1e-6
+    monkeypatch.setattr(dyn, "_NYQUIST_LIMIT", math.inf)
+    unbounded = run((None, 1))[-1]
+    assert not unbounded.imag.any()
+    assert 1.0 - np.sum(np.abs(unbounded) ** 2) * s.cell_measure() == pytest.approx(3.1e-10, rel=0.05)
 
 
 def test_observed_flight_raises_where_the_step_loop_stops():
@@ -804,9 +883,9 @@ def test_product_path_raises_as_materialized_state(case):
 
 def test_pulsed_device_flight_fuses_across_coupling(monkeypatch):
     applied, outer = [], []
-    apply, form = dyn._apply, ps._outer
-    monkeypatch.setattr(dyn, "_apply", lambda src, dst, axis, phase: (
-        applied.append((src, dst, axis)), apply(src, dst, axis, phase)))
+    apply, form = dyn._pass, ps._outer
+    monkeypatch.setattr(dyn, "_pass", lambda src, dst, axis, phases, seen=None: (
+        applied.append((src, dst, axis)), apply(src, dst, axis, phases, seen))[1])
     monkeypatch.setattr(ps, "_outer", lambda t, d: (outer.append((t, d)), form(t, d))[1])
     free = dyn.HamiltonianSpec.free(1.0)
     s = _pulsed_pair()
