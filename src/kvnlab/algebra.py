@@ -57,9 +57,17 @@ def _as_coeff(value):
     if isinstance(value, tuple):
         return (Fraction(value[0]), Fraction(value[1]))
     if isinstance(value, complex):
-        re, im = Fraction(value.real), Fraction(value.imag)
-        return (re, im)
+        return (Fraction(value.real), Fraction(value.imag))
     return (Fraction(value), Fraction(0))
+
+
+def _accumulate(terms, key, coeff):
+    """terms[key] += coeff, dropping the key where the sum is zero."""
+    acc = _cadd(terms.get(key, (Fraction(0), Fraction(0))), coeff)
+    if acc[0] or acc[1]:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
 
 
 def _falling(n, k):
@@ -122,23 +130,13 @@ class OperatorExpr:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def max_degree(self):
-        """Total degree in the ten operator generators (scalars excluded)."""
-        if not self.terms:
-            return 0
-        return max(sum(key[:10]) for key in self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = _cadd(terms.get(key, (Fraction(0), Fraction(0))), coeff)
-            if acc[0] or acc[1]:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            _accumulate(terms, key, coeff)
         return OperatorExpr(terms)
 
     def __radd__(self, other):
@@ -179,17 +177,8 @@ class OperatorExpr:
             if e:
                 coeff = _cmul(coeff, (value**e, Fraction(0)))
                 key = key[:slot] + (0,) + key[slot + 1 :]
-            if coeff[0] or coeff[1]:
-                acc = _cadd(terms.get(key, (Fraction(0), Fraction(0))), coeff)
-                if acc[0] or acc[1]:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+            _accumulate(terms, key, coeff)
         return OperatorExpr(terms)
-
-    def constant_term(self):
-        """The (re, im) coefficient of the identity monomial."""
-        return self.terms.get(_ZERO_KEY, (Fraction(0), Fraction(0)))
 
     # -- display -----------------------------------------------------------
 
@@ -232,7 +221,7 @@ def _fmt_coeff(re, im, has_factors):
 def _coerce(value):
     if isinstance(value, OperatorExpr):
         return value
-    return OperatorExpr.scalar(value) if not isinstance(value, complex) else OperatorExpr.scalar(Fraction(value.real), Fraction(value.imag))
+    return OperatorExpr({_ZERO_KEY: _as_coeff(value)})
 
 
 # module-level generator singletons
@@ -289,12 +278,7 @@ def multiply(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
                 coeff = _cmul(base, _NEG_I_POW[total_j % 4])
                 if factor != 1:
                     coeff = (coeff[0] * factor, coeff[1] * factor)
-                key = tuple(key)
-                acc = _cadd(out.get(key, (Fraction(0), Fraction(0))), coeff)
-                if acc[0] or acc[1]:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                _accumulate(out, tuple(key), coeff)
     return OperatorExpr(out)
 
 
@@ -340,13 +324,7 @@ def differentiate(a: OperatorExpr, name: str) -> OperatorExpr:
         e = key[slot]
         if not e:
             continue
-        new_key = key[:slot] + (e - 1,) + key[slot + 1 :]
-        coeff = (coeff[0] * e, coeff[1] * e)
-        acc = _cadd(terms.get(new_key, (Fraction(0), Fraction(0))), coeff)
-        if acc[0] or acc[1]:
-            terms[new_key] = acc
-        else:
-            terms.pop(new_key, None)
+        _accumulate(terms, key[:slot] + (e - 1,) + key[slot + 1 :], (coeff[0] * e, coeff[1] * e))
     return OperatorExpr(terms)
 
 

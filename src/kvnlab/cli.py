@@ -29,7 +29,7 @@ from . import measurement as ms
 from . import phasespace as ps
 from . import uncertainty as un
 from .errors import ConfigError, KvnLabError, MissingArtifact, ScenarioError
-from .stateio import save_state, write_csv
+from .stateio import save_state, write_csv, write_json
 
 SCENARIOS = (
     "evolve", "qm_compare", "measure", "kraus", "uncertainty",
@@ -183,8 +183,7 @@ class RunManifest:
             "status": self.status,
             "files": sorted(self.files, key=lambda f: f["name"]),
         }
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        write_json(out_dir / "manifest.json", payload)
 
 
 def _utcnow():
@@ -309,8 +308,7 @@ def _scenario_measure(cfg, out, seed, manifest):
         "quantum_prop1_residual": q1,
         "quantum_instantiated_residual": q2,
     }
-    with open(out / "simultaneity.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(out / "simultaneity.json", payload)
     manifest.record(out / "simultaneity.json")
 
 
@@ -350,8 +348,7 @@ def _scenario_kraus(cfg, out, seed, manifest):
         "readout_l1": l1,
         "printed_kernel_discrepancy": ms.printed_kernel_discrepancy(device, target),
     }
-    with open(out / "kraus.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(out / "kraus.json", payload)
     manifest.record(out / "kraus.json")
 
 
@@ -382,8 +379,7 @@ def _scenario_uncertainty(cfg, out, seed, manifest):
         "max_abs_comm_ND": max(abs(r.comm_ND) for r in reports),
         "rows": len(reports),
     }
-    with open(out / "uncertainty.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(out / "uncertainty.json", payload)
     manifest.record(out / "uncertainty.json")
 
 
@@ -409,8 +405,7 @@ def _scenario_algebra_verify(cfg, out, seed, manifest):
         {"name": r.name, "pass": r.passed, "residual_term_count": r.residual_term_count}
         for r in results
     ]
-    with open(out / "algebra.json", "w") as fh:
-        json.dump(records, fh, indent=1)
+    write_json(out / "algebra.json", records)
     manifest.record(out / "algebra.json")
     for rec in records:
         print(json.dumps(rec, sort_keys=True))
@@ -447,8 +442,7 @@ def _scenario_pulsed(cfg, out, seed, manifest):
         "t1": t1,
         "t_total": t_total,
     }
-    with open(out / "pulsed.json", "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(out / "pulsed.json", payload)
     manifest.record(out / "pulsed.json")
 
 

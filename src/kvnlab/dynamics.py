@@ -49,8 +49,10 @@ A factor on an array of at least 2**16 elements (a 256^2 state, a 16^4
 pair and up) runs on every usable core, one slab per core (see _split), as
 do the inverse transforms of a formed coupling: an observed 256^2 flight
 runs its momentum kicks on row halves and its drifts on column halves.  The
-result is bit-identical to the serial one.  The usable cores are the
-process's CPU affinity, so ``taskset -c 0`` keeps every factor serial.
+result is bit-identical to the serial one.  _together is the one place that
+hands work to the pool, for these slabs and for stateio.save_state, which
+hashes a state of that size while it writes it.  The usable cores are the
+process's CPU affinity, so ``taskset -c 0`` keeps all of it serial.
 
 The hbar-deformed propagator evolves H(x + a*hbar*pi_p, p + b*hbar*pi_x)
 with (a, b) fixed by a deformation convention.  Its factors carry a pi^2
@@ -67,6 +69,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -92,7 +95,7 @@ _NYQUIST_LIMIT = 1e-12
 # 0.99 aside), and keeps 2**15 and below, which lose about as often, serial.
 _PARALLEL_MIN = 1 << 16
 
-_pool = None  # (executor or None, cores), made by the first large factor
+_pool = None  # (executor or None, cores), made on first use
 _pool_lock = threading.Lock()
 
 
@@ -107,7 +110,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _executor():
-    """The thread pool for the extra blocks of a factor, and the core count."""
+    """The thread pool of _together (None on one core), and the core count."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -287,7 +290,11 @@ def _edges(axis, dim, shift, ndim):
         # one gather of the few wrapped cells reads less than two strided
         # slabs of short rows: 5-10 us against 20-25 us for a 256^2 kick.
         # A 4D factor keeps the slabs: a 32^4 drift guard gathers 93184
-        # cells in 280-290 us, its slabs of 158720 in 175-195 us.
+        # cells in 280-290 us, its slabs of 158720 in 175-195 us.  A copy
+        # that gathered every guard's cells, 51 lines shorter, ran
+        # pulsed_propagator in 31-43 ms against 22-30 ms (best of 40 calls,
+        # 9 interleaved runs) and its 4D gathers in 0.35-0.39 ms against
+        # 0.21-0.23 ms, which explains only part of that loss.
         return [(np.flatnonzero(wrapped), None, None)]
     low = int(np.count_nonzero(u + np.min(step) < 0))
     high = max(low, n - int(np.count_nonzero(u + np.max(step) > n - 1)))
@@ -340,45 +347,57 @@ def _compile(f, axis, ndim, check_wrap, real=False):
     return np.exp(-1j * f.tau * arg), edges
 
 
-def _split(arr, axes, block):
-    """Run ``block(idx)`` on slabs ``arr[idx]`` that together cover ``arr``.
+def _together(size, tasks):
+    """Run every callable of ``tasks``; on work of at least _PARALLEL_MIN
+    elements (2**16: a 256^2 state, a 16^4 pair) the pool takes the rest
+    while the calling thread runs the first.
 
-    An array of at least _PARALLEL_MIN elements (2**16: a 256^2 state, a
-    16^4 pair) is cut along its first axis not in ``axes`` into one slab
-    per usable core.  The calling thread and one pool task per other slab
-    take slabs until none is left, and a task that has not started by then
-    is cancelled: a pool thread slow to wake (an idle vCPU the host is slow
-    to run again) costs at most the serial time, not a wait for it.  Every
-    1-D line along ``axes`` lies whole in one slab, so transforms along them
-    are bit-identical to the serial ones.
+    The pool is the shear engine's, with one thread per usable core but
+    one.  When its own task is done the calling thread cancels each pool
+    task that has not started and runs it itself, so a pool thread slow to
+    wake (an idle vCPU the host is slow to run again) costs at most the
+    serial time; it waits only for tasks already running.  If a task on
+    the calling thread raises, the pool tasks not yet started are dropped,
+    the running ones waited for, and the error propagates, as does an error
+    raised on a pool thread.  With one usable core, or below the threshold,
+    the calling thread runs them all in order.
 
-    On a loaded 2-vCPU KVM guest the caller took 10-72 of 600 pool slabs
+    On a loaded 2-vCPU KVM guest the caller ran 10-72 of 600 pool slabs
     per evolve_2d pass, and passes were faster in 10 of 15 paired rounds.
     """
-    free = [i for i in range(arr.ndim) if i not in axes]
-    executor, cores = _executor() if arr.size >= _PARALLEL_MIN and free else (None, 1)
-    cut = free[0] if free else 0
-    n = arr.shape[cut]
-    parts = min(cores, n)
-    edges = [n * i // parts for i in range(parts + 1)]
-    slabs = iter([(slice(None),) * cut + (slice(lo, hi),) for lo, hi in zip(edges, edges[1:])])
-    lock = threading.Lock()
-
-    def take():
-        while True:
-            with lock:
-                idx = next(slabs, None)
-            if idx is None:
-                return
-            block(idx)
-
-    futures = [executor.submit(take) for _ in range(parts - 1)]
+    executor = _executor()[0] if size >= _PARALLEL_MIN and len(tasks) > 1 else None
+    if executor is None:
+        for task in tasks:
+            task()
+        return
+    futures = [executor.submit(task) for task in tasks[1:]]
     try:
-        take()
+        tasks[0]()
+        for task, fut in zip(tasks[1:], futures):
+            if fut.cancel():
+                task()
     finally:
         for fut in futures:
             if not fut.cancel():
                 fut.result()
+
+
+def _split(arr, axes, block):
+    """Run ``block(idx)`` on slabs ``arr[idx]`` that together cover ``arr``.
+
+    An array large enough for the pool (see _together) is cut along its
+    first axis not in ``axes`` into one slab per usable core, and the slabs
+    run together.  Every 1-D line along ``axes`` lies whole in one slab, so
+    transforms along them are bit-identical to the serial ones.
+    """
+    free = [i for i in range(arr.ndim) if i not in axes]
+    cores = _executor()[1] if arr.size >= _PARALLEL_MIN and free else 1
+    cut = free[0] if free else 0
+    n = arr.shape[cut]
+    parts = min(cores, n)
+    edges = [n * i // parts for i in range(parts + 1)]
+    _together(arr.size, [partial(block, (slice(None),) * cut + (slice(lo, hi),))
+                         for lo, hi in zip(edges, edges[1:])])
 
 
 def _cut(phase, idx):

@@ -20,7 +20,6 @@ whereas the device-integrated operator family yields true amplitudes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ from .phasespace import (
     product_state,
     to_representation,
 )
-from .stateio import write_csv
+from .stateio import write_csv, write_json
 
 _MASS_FLOOR = 1e-10
 
@@ -79,8 +78,7 @@ class MeasurementRecord:
         payload["readout_axis"] = self.readout_axis
         payload["values"] = [float(v) for v in self.values]
         payload["probabilities"] = [float(p) for p in self.probabilities]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        write_json(path, payload)
 
 
 def _require_matched(a: Axis, b: Axis, what):
@@ -290,10 +288,7 @@ class KrausFamily:
         self.shape = (len(self.label_values[0]), len(self.label_values[1]))
         # index of the x = 0 cell: coordinate differences X - x are sampled
         # on the device lattice, whose origin sits i0 cells above vmin
-        i0 = -g.x_min / g.dx
-        if abs(i0 - round(i0)) > 1e-9:
-            raise ValueError("x lattice must contain 0 for label-difference kernels")
-        self._i0 = int(round(i0)) % g.n_x
+        self._i0 = _origin_index(g.x_axis)
         # integer cell offsets of device labels on the matched target lattice
         if label_rep in ("X_P", "piX_P"):
             self._p_offsets = np.rint(self.label_values[1] / g.dp).astype(int)

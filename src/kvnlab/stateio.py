@@ -1,4 +1,4 @@
-"""Flat binary container for states, plus the CSV writer of every table.
+"""Flat binary container for states, plus the CSV and JSON writers of every run.
 
 Layout: magic ``KVNSTATE``, version, endianness marker, axis count, one
 conjugate flag per axis, then per axis (n, vmin, vmax), then the amplitude
@@ -9,7 +9,11 @@ on any other; the marker detects a byte-order mismatch.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+import os
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -24,13 +28,11 @@ _ENDIAN_MARK = 0x01020304
 def save_state(state, path):
     """Serialize a PhaseState or BipartiteState to the binary container.
 
-    Returns the sha256 hex digest of the bytes written.  An amplitude large
-    enough for the shear engine's thread pool (dynamics._PARALLEL_MIN
-    elements: a 256^2 state, a 16^4 pair and up) is hashed on a pool thread
-    while this one writes it; both release the GIL.  If the pool thread has
-    not started the hash when the write is done, this thread hashes it.
-    Smaller ones, and any when only one core is usable, are hashed on this
-    thread.
+    Returns the sha256 hex digest of the bytes written.  The amplitude is
+    written and hashed as two tasks of dynamics._together: on a state large
+    enough for the shear engine's pool (a 256^2 state, a 16^4 pair and up)
+    a pool thread hashes it while this one writes it, as both release the
+    GIL, and this one hashes it if the pool has not started by then.
     """
     axes = state.axes()
     header = b"".join([
@@ -42,47 +44,45 @@ def save_state(state, path):
     # little-endian complex128 in C order is the interleaved re/im layout
     data = np.ascontiguousarray(state.amp, dtype="<c16")
     digest = hashlib.sha256(header)
-    executor = dynamics._executor()[0] if data.size >= dynamics._PARALLEL_MIN else None
     with open(path, "wb") as fh:
         fh.write(header)
-        if executor is None:
-            fh.write(data)
-            digest.update(data)
-        else:
-            hashed = executor.submit(digest.update, data)
-            try:
-                fh.write(data)
-            finally:
-                # as in dynamics._split: a hash the pool has not started
-                # runs here instead of being waited for
-                if hashed.cancel():
-                    digest.update(data)
-                else:
-                    hashed.result()
+        dynamics._together(data.size, [partial(fh.write, data), partial(digest.update, data)])
     return digest.hexdigest()
 
 
 def load_state(path):
+    """Read a state container.  Raises ValueError naming ``path`` when the
+    file is not one, or holds more or fewer bytes than its header needs."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:8] != _MAGIC:
             raise ValueError(f"{path}: not a state container")
-        version, mark, n_axes = struct.unpack("<HIH", fh.read(8))
+        if len(head) < 16:
+            raise ValueError(f"{path}: the header needs 16 bytes, the file has {size}")
+        version, mark, n_axes = struct.unpack("<HIH", head[8:])
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         if mark != _ENDIAN_MARK:
             raise ValueError(f"{path}: endianness marker mismatch")
-        flags = struct.unpack(f"<{n_axes}B", fh.read(n_axes))
+        header = 16 + 25 * n_axes
+        if size < header:
+            raise ValueError(f"{path}: a {n_axes}-axis header needs {header} bytes, "
+                             f"the file has {size}")
+        flags = tuple(bool(f) for f in fh.read(n_axes))
         specs = [struct.unpack("<Qdd", fh.read(24)) for _ in range(n_axes)]
         shape = tuple(int(s[0]) for s in specs)
-        raw = np.frombuffer(fh.read(), dtype="<f8").reshape(shape + (2,))
-        amp = raw[..., 0] + 1j * raw[..., 1]
+        need = header + 16 * math.prod(shape)
+        if size != need:
+            raise ValueError(f"{path}: a {shape} state needs {need} bytes, the file has {size}")
+        amp = np.frombuffer(fh.read(), "<c16").reshape(shape)
     if n_axes == 2:
         grid = Grid2D(shape[0], shape[1], specs[0][1], specs[0][2], specs[1][1], specs[1][2])
-        return PhaseState(grid, _FLAGS_REP[tuple(bool(f) for f in flags)], amp)
+        return PhaseState(grid, _FLAGS_REP[flags], amp)
     if n_axes == 4:
         tg = Grid2D(shape[0], shape[1], specs[0][1], specs[0][2], specs[1][1], specs[1][2])
         dg = Grid2D(shape[2], shape[3], specs[2][1], specs[2][2], specs[3][1], specs[3][2])
-        return BipartiteState(tg, dg, tuple(bool(f) for f in flags), amp)
+        return BipartiteState(tg, dg, flags, amp)
     raise ValueError(f"{path}: unsupported axis count {n_axes}")
 
 
@@ -99,6 +99,13 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(_csv_field, row)) + "\n")
+
+
+def write_json(path, obj):
+    """Write ``obj`` as JSON with one-space indents and sorted keys, and no
+    trailing newline: the format of every JSON file a run writes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
 
 
 def export_density_csv(density: Density, path):

@@ -473,9 +473,9 @@ def test_threaded_factor_is_bit_identical_to_serial(monkeypatch, shape, axis, co
 
 
 def test_split_runs_every_slab_once(monkeypatch):
-    # the calling thread and the pool tasks take slabs from one shared list;
-    # with more threads than cores and a short switch interval, every slab
-    # still runs exactly once
+    # the pool takes every slab but the calling thread's, and the calling
+    # thread runs each one the pool has not started; with more threads than
+    # cores and a short switch interval, every slab still runs exactly once
     arr = np.zeros((256, 256))
 
     def block(idx):
@@ -516,6 +516,37 @@ def test_split_does_not_wait_for_a_busy_pool(monkeypatch):
             release.set()
     assert ran_on == {threading.get_ident()}
     assert (arr == 1).all()
+
+
+def test_together_drops_unstarted_tasks_when_the_caller_fails(monkeypatch):
+    # the calling thread's task raises while the pool thread is busy with
+    # another: the task the pool has not started is cancelled and never run,
+    # the error propagates, and the pool takes the next work as before
+    release, done = threading.Event(), threading.Event()
+    ran_on = []
+
+    def fail():
+        raise RuntimeError("caller task failed")
+
+    def on_pool():
+        ran_on.append(threading.get_ident())
+        done.set()
+
+    with CountingPool(1) as pool:
+        busy = pool.submit(release.wait, 10.0)
+        monkeypatch.setattr(dyn, "_pool", (pool, 2))
+        try:
+            with pytest.raises(RuntimeError, match="caller task failed"):
+                dyn._together(dyn._PARALLEL_MIN, [fail, on_pool])
+            assert not busy.done()
+        finally:
+            release.set()
+        assert busy.result() is True
+        assert ran_on == []
+        # the caller's task waits until the pool has run the other one
+        dyn._together(dyn._PARALLEL_MIN, [lambda: done.wait(10.0), on_pool])
+    assert done.is_set() and len(ran_on) == 1 and ran_on[0] != threading.get_ident()
+    assert pool.submitted == 3
 
 
 def test_observed_256_flight_is_bit_identical_to_serial(monkeypatch):

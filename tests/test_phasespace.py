@@ -12,7 +12,7 @@ from kvnlab.errors import (
     UnsupportedObservable,
     ZeroMassSlice,
 )
-from kvnlab.stateio import export_density_csv, load_state, save_state, write_csv
+from kvnlab.stateio import export_density_csv, load_state, save_state, write_csv, write_json
 
 from _oracles import CountingPool, save_state_interleaved
 
@@ -228,6 +228,12 @@ def test_state_container_round_trip(tmp_path, grid):
     loaded4 = load_state(path4)
     assert ps.l2_distance(pair, loaded4) == 0.0
 
+    # every bit comes back, the sign of each zero part included
+    zeros = np.array([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)] * 16)
+    signed = ps.PhaseState(tg, "xp", zeros.reshape(8, 8))
+    save_state(signed, path)
+    assert load_state(path).amp.tobytes() == signed.amp.tobytes()
+
 
 def test_state_container_bytes_match_interleaved_encoder(tmp_path, grid):
     rng = np.random.default_rng(14)
@@ -304,6 +310,20 @@ def test_state_container_rejects_foreign_files(tmp_path):
     bad.write_bytes(b"NOTASTATE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="not a state container"):
         load_state(bad)
+    # a 16^2 container cut in its header or its payload, or with bytes after
+    # it: the error names the file and both sizes
+    g = ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0)
+    save_state(ps.make_gaussian(g, 0.0, 0.0, 1.0, 1.0), bad)
+    raw = bad.read_bytes()
+    assert len(raw) == 66 + 16 * 16 * 16
+    for data, message in ((raw[:40], "a 2-axis header needs 66 bytes, the file has 40"),
+                          (raw[:12], "the header needs 16 bytes, the file has 12"),
+                          (raw[:-1], "a (16, 16) state needs 4162 bytes, the file has 4161"),
+                          (raw + b"\x00", "a (16, 16) state needs 4162 bytes, the file has 4163")):
+        bad.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load_state(bad)
+        assert str(err.value) == f"{bad}: {message}"
 
 
 def test_density_csv_export(tmp_path, grid):
@@ -325,3 +345,14 @@ def test_write_csv_exact_bytes(tmp_path):
                                          (np.int64(-7), 2.5e-300, np.float64(1.0), np.bool_(False))])
     assert path.read_bytes() == (b"n,f,g,b\n3,0.10000000000000001,-0.33333333333333331,1\n"
                                  b"-7,2.5e-300,1,0\n")
+
+
+def test_write_json_exact_bytes(tmp_path):
+    # every JSON file of a run goes through write_json: one-space indents,
+    # keys sorted at every level, floats as repr, no trailing newline
+    path = tmp_path / "t.json"
+    write_json(path, {"z": [1, 0.1, True, None], "a": {"y": False, "b": -2.5e-300},
+                      "m": [{"k": 1.0, "c": []}, "s"]})
+    assert path.read_bytes() == (b'{\n "a": {\n  "b": -2.5e-300,\n  "y": false\n },\n'
+                                 b' "m": [\n  {\n   "c": [],\n   "k": 1.0\n  },\n  "s"\n ],\n'
+                                 b' "z": [\n  1,\n  0.1,\n  true,\n  null\n ]\n}')
