@@ -396,20 +396,18 @@ DEFORM_CONVENTIONS = {
 }
 
 
-def deformed_pair(convention: str, use_operator_hbar: bool = False):
+def deformed_pair(convention: str):
     """The deformed (x_h, p_h) pair for a sign convention.
 
     x_h = x + a*hbar*pi_p and p_h = p + b*hbar*pi_x with (a, b) fixed by the
-    convention; ``use_operator_hbar`` swaps the formal scalar for the Planck
-    operator h_op.
+    convention.
     """
     try:
         a, b = DEFORM_CONVENTIONS[convention]
     except KeyError:
         raise ValueError(f"unknown deformation convention: {convention!r}") from None
-    hb = h_op if use_operator_hbar else hbar
-    x_h = x + multiply(hb, pi_p).scaled(a)
-    p_h = p + multiply(hb, pi_x).scaled(b)
+    x_h = x + multiply(hbar, pi_p).scaled(a)
+    p_h = p + multiply(hbar, pi_x).scaled(b)
     return x_h, p_h
 
 
@@ -583,8 +581,7 @@ def verify_identity_suite(names=None):
     selection yields an empty report).
     """
     half = Fraction(1, 2)
-    x_h = x - multiply(hbar, pi_p).scaled(half)
-    p_h = p + multiply(hbar, pi_x).scaled(half)
+    x_h, p_h = deformed_pair("half_minus_plus")
     pi_x_h = x + multiply(hbar, pi_p).scaled(half)
     pi_p_h = p - multiply(hbar, pi_x).scaled(half)
 

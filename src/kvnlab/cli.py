@@ -269,20 +269,15 @@ def _scenario_qm_compare(cfg, out, seed, manifest):
     manifest.record(out / "scan.csv")
 
 
-def _require_normalized_device(cfg_axis, path):
-    if cfg_axis not in ("X", "P", "pi_X", "pi_P"):
-        _fail(path, f"invalid readout axis {cfg_axis!r}")
-    return cfg_axis
-
-
 def _scenario_measure(cfg, out, seed, manifest):
     _reject_unknown(cfg, "", ("scenario", "grid", "target_state", "device_state",
                               "readout_axis", "seed"))
     grid = _parse_grid(_section(cfg, "", "grid"), "grid")
     target = _parse_state(_section(cfg, "", "target_state"), "target_state", grid)
     device = _parse_state(_section(cfg, "", "device_state"), "device_state", grid)
-    axis = _require_normalized_device(
-        _value(cfg, "", "readout_axis", str, required=False, default="X"), "readout_axis")
+    axis = _value(cfg, "", "readout_axis", str, required=False, default="X")
+    if axis not in ms.READOUT_AXES:
+        _fail("readout_axis", f"invalid readout axis {axis!r}")
 
     after = ms.von_neumann_couple(target, device)
     record = ms.readout(after, axis)

@@ -40,6 +40,7 @@ from .phasespace import (
 from .stateio import write_csv, write_json
 
 _MASS_FLOOR = 1e-10
+READOUT_AXES = ("X", "P", "pi_X", "pi_P")
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class DeviceSpec:
     readout_axis: str = "X"
 
     def __post_init__(self):
-        if self.readout_axis not in ("X", "P", "pi_X", "pi_P"):
+        if self.readout_axis not in READOUT_AXES:
             raise ValueError(f"invalid readout axis {self.readout_axis!r}")
         if abs(self.state.norm() - 1.0) > 1e-9:
             raise ValueError("device state must be normalized")
@@ -106,7 +107,7 @@ def readout(s: BipartiteState, axis: str, with_post_states=False) -> Measurement
     zero phase, as post_state), all cut from one (x, p, axis) density;
     cells below the floor get None.
     """
-    if axis not in ("X", "P", "pi_X", "pi_P"):
+    if axis not in READOUT_AXES:
         raise ValueError(f"not a device axis: {axis!r}")
     dens = marginal(s, (axis,))
     probs = dens.array * dens.measures[0]
@@ -247,8 +248,21 @@ class KrausFamily:
     mixed representations disagree with the unitary route; see
     printed_kernel_discrepancy for the reported residuals.
 
-    Every member is a mask taken from the kernel K (the device amplitude in
-    the label representation) times a unitary shift or phase, so
+    A label representation is two independent choices: the row label is X
+    or pi_X (``_pi_x``) and the column label is P or pi_P (``_pi_p``).  The
+    kernel K is the device amplitude with those axes, and the family works
+    on the target in (x, p), or (x, pi_p) under pi_P.  Member (a, b) is
+    built by one row rule and one column rule:
+
+    - an X row reads K at a - i + i0 for target cell i (i0 is the x = 0
+      cell), or at a + i - i0 in the printed form;
+    - a pi_X row is K's row a times exp(-i pi_X x), or in the printed form
+      the target rolled by the label's whole-cell shift pi_X / dx;
+    - a P column is K's column b, with the target rolled by b's cell offset;
+    - a pi_P column reads K at b - j for target cell j.
+
+    The printed forms differ from the unitary ones only under pi_P.  Every
+    member is thus a mask taken from K times a unitary shift or phase, so
     M_ab^dag M_ab is diagonal in the working representation, holding |K|^2
     at that member's kernel cells.  The family's statistics follow in
     closed form from that (completeness_sum, joint_probabilities); _apply
@@ -264,34 +278,20 @@ class KrausFamily:
         self.as_printed = as_printed
         _require_matched(self.grid.x_axis, device.grid.x_axis, "x/X")
         _require_matched(self.grid.p_axis, device.grid.p_axis, "p/P")
-        g, dgrid = self.grid, device.grid
-        if label_rep == "X_P":
-            self.work_flags = (False, False)
-            self.kernel = device.with_conj((False, False)).amp
-            self.label_values = (dgrid.x(), dgrid.p())
-            self.label_measure = dgrid.dx * dgrid.dp
-        elif label_rep == "X_piP":
-            self.work_flags = (False, True)
-            self.kernel = device.with_conj((False, True)).amp
-            self.label_values = (dgrid.x(), dgrid.pi_p())
-            self.label_measure = dgrid.dx * dgrid.p_axis.d_conj
-        elif label_rep == "piX_P":
-            self.work_flags = (False, False)
-            self.kernel = device.with_conj((True, False)).amp
-            self.label_values = (dgrid.pi_x(), dgrid.p())
-            self.label_measure = dgrid.x_axis.d_conj * dgrid.dp
-        else:  # piX_piP
-            self.work_flags = (False, True)
-            self.kernel = device.with_conj((True, True)).amp
-            self.label_values = (dgrid.pi_x(), dgrid.pi_p())
-            self.label_measure = dgrid.x_axis.d_conj * dgrid.p_axis.d_conj
-        self.shape = (len(self.label_values[0]), len(self.label_values[1]))
+        self._pi_x, self._pi_p = label_rep.startswith("piX"), label_rep.endswith("piP")
+        self._printed = as_printed and self._pi_p
+        labels = device.with_conj((self._pi_x, self._pi_p))
+        self.kernel = labels.amp
+        self.label_values = (labels.axis_values(0), labels.axis_values(1))
+        self.label_measure = labels.cell_measure()
+        self.shape = self.kernel.shape
+        self.work_flags = (False, self._pi_p)
         # index of the x = 0 cell: coordinate differences X - x are sampled
         # on the device lattice, whose origin sits i0 cells above vmin
-        self._i0 = _origin_index(g.x_axis)
-        # integer cell offsets of device labels on the matched target lattice
-        if label_rep in ("X_P", "piX_P"):
-            self._p_offsets = np.rint(self.label_values[1] / g.dp).astype(int)
+        self._i0 = _origin_index(self.grid.x_axis)
+        if not self._pi_p:
+            # integer cell offsets of device P labels on the matched target lattice
+            self._p_offsets = np.rint(self.label_values[1] / self.grid.dp).astype(int)
 
     def __iter__(self):
         return (KrausOperator(self, a, b) for a, b in np.ndindex(*self.shape))
@@ -300,40 +300,25 @@ class KrausFamily:
         return KrausOperator(self, a, b)
 
     def _apply(self, amp, a, b):
-        n_x = self.grid.n_x
-        rep = self.label_rep
-        i0 = self._i0
-        if rep == "X_P":
-            rolled = np.roll(amp, -self._p_offsets[b], axis=1)
-            mask = self.kernel[(a - np.arange(n_x) + i0) % n_x, b][:, None]
-            return mask * rolled
-        if rep == "X_piP":
-            n_p = self.grid.n_p
-            if self.as_printed:
-                rows = (a + np.arange(n_x) - i0) % n_x
-            else:
-                rows = (a - np.arange(n_x) + i0) % n_x
-            mask = self.kernel[rows][:, (b - np.arange(n_p)) % n_p]
-            return mask * amp
-        if rep == "piX_P":
-            rolled = np.roll(amp, -self._p_offsets[b], axis=1)
-            phase = np.exp(-1j * self.label_values[0][a] * self.grid.x())[:, None]
-            return self.kernel[a, b] * phase * rolled
-        # piX_piP
-        n_p = self.grid.n_p
-        mask = self.kernel[a, (b - np.arange(n_p)) % n_p][None, :]
-        if self.as_printed:
+        n_x, n_p = self.grid.n_x, self.grid.n_p
+        if self._pi_p:
+            cols = (b - np.arange(n_p)) % n_p
+        else:
+            cols = slice(b, b + 1)
+            amp = np.roll(amp, -self._p_offsets[b], axis=1)
+        if not self._pi_x:
+            i = np.arange(n_x)
+            rows = (a + i - self._i0 if self._printed else a - i + self._i0) % n_x
+            return self.kernel[:, cols][rows] * amp
+        mask = self.kernel[a:a + 1, cols]
+        if self._printed:
             shift = int(round(self.label_values[0][a] / self.grid.dx))
             return mask * np.roll(amp, -shift, axis=0)
         phase = np.exp(-1j * self.label_values[0][a] * self.grid.x())[:, None]
         return mask * phase * amp
 
     def work_measure(self):
-        ax0 = self.grid.x_axis
-        ax1 = self.grid.p_axis
-        m0 = ax0.d_conj if self.work_flags[0] else ax0.d
-        m1 = ax1.d_conj if self.work_flags[1] else ax1.d
-        return m0 * m1
+        return self.grid.dx * (self.grid.p_axis.d_conj if self._pi_p else self.grid.dp)
 
     def completeness_sum(self) -> np.ndarray:
         """Diagonal of sum_labels M^dag M in the working representation.
@@ -364,14 +349,14 @@ class KrausFamily:
         rho = np.abs(phi.with_conj(self.work_flags).amp) ** 2
         k2 = np.abs(self.kernel) ** 2
         rows, cols = np.indices(rho.shape, sparse=True)
-        if self.label_rep.startswith("piX"):
+        if self._pi_x:
             rho = np.where(rows == 0, rho.sum(axis=0, keepdims=True), 0.0)
-        elif self.label_rep == "X_piP" and self.as_printed:
+        elif self._printed:
             rho = np.roll(rho[::-1], 1, axis=0)
             k2 = np.roll(k2, self._i0, axis=0)
         else:
             k2 = np.roll(k2, -self._i0, axis=0)
-        if self.label_rep.endswith("_P"):
+        if not self._pi_p:
             rho = np.where(cols == 0, rho.sum(axis=1, keepdims=True), 0.0)
         probs = np.fft.ifft2(np.fft.fft2(k2) * np.fft.fft2(rho)).real
         return np.maximum(probs, 0.0) * (self.work_measure() * self.label_measure)

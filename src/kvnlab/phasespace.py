@@ -272,10 +272,7 @@ class BipartiteState(_Field):
         return BipartiteState(self.target_grid, self.device_grid, conj, amp)
 
     def rep_name(self):
-        return ",".join(
-            c if f else n
-            for n, c, f in zip(self.axis_names, self.conj_names, self._conj)
-        )
+        return ",".join(_names(self))
 
     def __repr__(self):
         return f"BipartiteState(rep=({self.rep_name()}))"
@@ -472,14 +469,31 @@ def expectation(s: _Field, obs) -> float:
     return total
 
 
-def variance(s: _Field, name: str) -> float:
-    m1 = expectation(s, name)
-    m2 = expectation(s, f"{name}^2")
-    return max(m2 - m1 * m1, 0.0)
+def _merge_powers(pa, pb):
+    acc = {}
+    for name, e in tuple(pa) + tuple(pb):
+        acc[name] = acc.get(name, 0) + e
+    return tuple(sorted(acc.items()))
 
 
-def sigma(s: _Field, name: str) -> float:
-    return math.sqrt(variance(s, name))
+def variance(s: _Field, obs) -> float:
+    """<A^2> - <A>^2 for any observable A, clipped at 0.
+
+    A^2 is multiplied out term by term, so sums and scaled axes are exact,
+    e.g. variance(s, "x + p") = var(x) + var(p) + 2 cov(x, p).  A^2 must
+    itself be an observable expectation accepts (degree <= 2 per monomial,
+    no axis times its own conjugate).
+    """
+    obs = Observable.parse(obs)
+    m1 = expectation(s, obs)
+    sq = Observable(tuple((ca * cb, _merge_powers(pa, pb))
+                          for ca, pa in obs.terms for cb, pb in obs.terms))
+    return max(expectation(s, sq) - m1 * m1, 0.0)
+
+
+def sigma(s: _Field, obs) -> float:
+    """Standard deviation sqrt(variance(s, obs)) of any observable."""
+    return math.sqrt(variance(s, obs))
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +543,20 @@ class Density:
         )
 
 
+def _names(s: _Field, chosen=()):
+    """One name per axis of ``s``: the one listed in ``chosen`` (its
+    coordinate or its conjugate name), otherwise the name of the axis's
+    current representation."""
+    return tuple(
+        n if n in chosen else c if c in chosen or f else n
+        for n, c, f in zip(s.axis_names, s.conj_names, s.conj_flags)
+    )
+
+
 def joint_density(s: _Field, axis_names=None) -> Density:
     """Full density in the representation where the named axes are diagonal."""
     if axis_names is None:
-        axis_names = tuple(
-            c if f else n
-            for n, c, f in zip(s.axis_names, s.conj_names, s.conj_flags)
-        )
+        axis_names = _names(s)
     flags = list(s.conj_flags)
     order = {}
     for name in axis_names:
@@ -559,26 +580,12 @@ def marginal(s: _Field, axes) -> Density:
     Conjugate-axis names transform the state first, e.g. axes=("pi_x",).
     """
     axes = (axes,) if isinstance(axes, str) else tuple(axes)
-    full_names = []
-    for n, c, f in zip(s.axis_names, s.conj_names, s.conj_flags):
-        if n in axes:
-            full_names.append(n)
-        elif c in axes:
-            full_names.append(c)
-        else:
-            full_names.append(c if f else n)
-    return joint_density(s, tuple(full_names)).marginalize(axes)
+    return joint_density(s, _names(s, axes)).marginalize(axes)
 
 
 def conditional(s: _Field, axis: str, value) -> Density:
     """Density over the remaining axes given the nearest cell of ``axis``."""
-    dens = joint_density(
-        s,
-        tuple(
-            axis if (n == axis or c == axis) else (c if f else n)
-            for n, c, f in zip(s.axis_names, s.conj_names, s.conj_flags)
-        ),
-    )
+    dens = joint_density(s, _names(s, (axis,)))
     i = dens.axis_names.index(axis)
     vals = dens.values[i]
     j = int(np.argmin(np.abs(vals - value)))

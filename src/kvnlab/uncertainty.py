@@ -31,6 +31,7 @@ _DEVICE_GENS = ("X", "P", "pi_X", "pi_P")
 _DEVICE_LOCAL = {"X": "x", "P": "p", "pi_X": "pi_x", "pi_P": "pi_p"}
 
 _TOL = 1e-9
+_TIGHT_TOL = 1e-12
 
 
 def _coeff_complex(coeff):
@@ -170,7 +171,7 @@ class TrivialCheck:
     sum_is_tight: bool
 
 
-def check_trivial(report: EDReport, tight_tol=1e-12) -> TrivialCheck:
+def check_trivial(report: EDReport) -> TrivialCheck:
     """The two sign-trivial inequalities eps*eta >= 0, eps*sig(p)+eta*sig(x) >= 0.
 
     Both hold by non-negativity; the check reports where equality is
@@ -179,10 +180,10 @@ def check_trivial(report: EDReport, tight_tol=1e-12) -> TrivialCheck:
     prod = report.epsilon * report.eta
     mixed = report.epsilon * report.sigma_p + report.eta * report.sigma_x
     return TrivialCheck(
-        product_holds=prod >= -tight_tol,
-        sum_holds=mixed >= -tight_tol,
-        product_is_tight=abs(prod) <= tight_tol,
-        sum_is_tight=abs(mixed) <= tight_tol,
+        product_holds=prod >= -_TIGHT_TOL,
+        sum_holds=mixed >= -_TIGHT_TOL,
+        product_is_tight=abs(prod) <= _TIGHT_TOL,
+        sum_is_tight=abs(mixed) <= _TIGHT_TOL,
     )
 
 
@@ -226,28 +227,8 @@ def kennard_robertson(s: PhaseState, a, b):
     obs_a, obs_b = Observable.parse(a), Observable.parse(b)
     comm = algebra.commutator(_observable_to_expr(obs_a), _observable_to_expr(obs_b))
     rhs = 0.5 * abs(expectation_of_expr(comm, s))
-    lhs = _sigma_obs(s, obs_a) * _sigma_obs(s, obs_b)
+    lhs = sigma(s, obs_a) * sigma(s, obs_b)
     return lhs, rhs, lhs >= rhs - _TOL
-
-
-def _sigma_obs(s, obs):
-    m1 = expectation(s, obs)
-    sq = Observable(
-        tuple(
-            (ca * cb, _merge_powers(pa, pb))
-            for ca, pa in obs.terms
-            for cb, pb in obs.terms
-        )
-    )
-    m2 = expectation(s, sq)
-    return math.sqrt(max(m2 - m1 * m1, 0.0))
-
-
-def _merge_powers(pa, pb):
-    acc = {}
-    for name, e in tuple(pa) + tuple(pb):
-        acc[name] = acc.get(name, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 @dataclass

@@ -285,6 +285,25 @@ def test_kraus_completeness_all_reps(grid):
         assert fam.completeness_defect() < 1e-6
 
 
+@pytest.mark.parametrize("rep", ms.LABEL_REPS)
+def test_kraus_label_axes_are_device_axes(rep):
+    # a rectangular lattice with unequal x and p ranges: each label axis is
+    # the device's coordinate or reciprocal axis, chosen by that label alone
+    grid = ps.Grid2D(16, 32, -6.0, 10.0, -2.0, 6.0)  # dx = 1, dp = 1/4
+    pi_x, pi_p = {"X_P": (False, False), "X_piP": (False, True),
+                  "piX_P": (True, False), "piX_piP": (True, True)}[rep]
+    fam = ms.kraus_build(random_state(grid, np.random.default_rng(47)), rep, grid)
+    rows, d_row = (grid.pi_x(), math.pi / 8) if pi_x else (grid.x(), 1.0)
+    cols, d_col = (grid.pi_p(), math.pi / 4) if pi_p else (grid.p(), 0.25)
+    assert np.array_equal(fam.label_values[0], rows)
+    assert np.array_equal(fam.label_values[1], cols)
+    assert fam.label_values[0][1] - fam.label_values[0][0] == pytest.approx(d_row, rel=1e-12)
+    assert fam.label_values[1][1] - fam.label_values[1][0] == pytest.approx(d_col, rel=1e-12)
+    assert fam.label_measure == pytest.approx(d_row * d_col, rel=1e-12)
+    assert fam.work_flags == (False, pi_p)
+    assert fam.shape == (16, 32)
+
+
 def random_state(grid, rng):
     """Box-filling random amplitude, normalized."""
     amp = rng.normal(size=(grid.n_x, grid.n_p)) + 1j * rng.normal(size=(grid.n_x, grid.n_p))

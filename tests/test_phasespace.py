@@ -44,6 +44,11 @@ def test_gaussian_moments(grid):
     assert abs(ps.expectation(s, "p") + 1.25) < grid.dp / 2
     assert abs(ps.variance(s, "x") - 1.0) < 0.01
     assert abs(ps.variance(s, "p") - 0.64) < 0.01
+    # any observable is squared term by term: a sum of uncorrelated axes
+    # and a scaled axis
+    sx, sp = ps.sigma(s, "x"), ps.sigma(s, "p")
+    assert abs(ps.sigma(s, "x + p") - math.hypot(sx, sp)) < 1e-9
+    assert abs(ps.sigma(s, "2*x") - 2.0 * sx) < 1e-9
 
 
 def test_gaussian_variance_scaling(grid):
