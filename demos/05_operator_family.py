@@ -18,12 +18,10 @@ device = make_gaussian(grid, 0.0, 0.1, 1.28, 1.3)
 after = von_neumann_couple(target, device)
 
 print("completeness defect and readout agreement per label representation:")
-axes = {"X_P": ("X", "P"), "X_piP": ("X", "pi_P"),
-        "piX_P": ("pi_X", "P"), "piX_piP": ("pi_X", "pi_P")}
 for rep in LABEL_REPS:
     family = kraus_build(device, rep, grid)
     probs = family.joint_probabilities(target)
-    joint = marginal(after, axes[rep])
+    joint = marginal(after, family.label_axes)
     l1 = np.abs(probs - joint.array * joint.cell_measure()).sum()
     print(f"  {rep:8s} completeness {family.completeness_defect():.2e}   "
           f"label/readout L1 {l1:.2e}")

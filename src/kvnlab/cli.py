@@ -327,13 +327,11 @@ def _scenario_kraus(cfg, out, seed, manifest):
     family = ms.kraus_build(device, label_rep, grid)
     probs = family.joint_probabilities(target)
     after = ms.von_neumann_couple(target, device)
-    axes = {"X_P": ("X", "P"), "X_piP": ("X", "pi_P"),
-            "piX_P": ("pi_X", "P"), "piX_piP": ("pi_X", "pi_P")}[label_rep]
-    joint = ps.marginal(after, axes)
+    joint = ps.marginal(after, family.label_axes)
     l1 = float(np.abs(probs - joint.array * joint.cell_measure()).sum())
 
     va, vb = np.meshgrid(*family.label_values, indexing="ij")
-    write_csv(out / "labels.csv", (axes[0], axes[1], "probability"),
+    write_csv(out / "labels.csv", (*family.label_axes, "probability"),
               zip(va.ravel(), vb.ravel(), probs.ravel()))
     manifest.record(out / "labels.csv")
 

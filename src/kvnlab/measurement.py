@@ -33,6 +33,7 @@ from .phasespace import (
     Grid2D,
     PhaseState,
     conditional,
+    joint_density,
     marginal,
     product_state,
     to_representation,
@@ -163,14 +164,10 @@ def check_simultaneity(
 
     # a standalone device state names its pointer axes locally (x, p)
     ref_X = marginal(device_init, ("x",))
-    ref_p = marginal(target_init, ("p",))
-
-    xX = marginal(s_after, ("x", "X"))
+    joint = joint_density(s_after, s_after.axis_names)
+    xX = joint.marginalize(("x", "X"))
     res1 = _shifted_residual(xX.array, xX.values[0], xX.measures, ref_X.array, 1, mass_floor)
-    pP = marginal(s_after, ("p", "P"))
-    res2 = _shifted_residual(pP.array.T, pP.values[1], pP.measures[::-1], ref_p.array, -1,
-                             mass_floor)
-    return res1, res2
+    return res1, _prop2_residual(joint, target_init, mass_floor)
 
 
 def pointer_instantiated_residual(
@@ -185,11 +182,18 @@ def pointer_instantiated_residual(
     still equals the shifted initial p-marginal.  Classically this survives
     the readout; it is the probe the quantum model fails.
     """
-    ref_p = marginal(target_init, ("p",))
-    pointer = marginal(s_after, ("X",))
+    joint = joint_density(s_after, s_after.axis_names)
+    pointer = joint.marginalize(("X",))
     X0 = pointer.values[0][int(np.argmax(pointer.array))]
-    rest = conditional(s_after, "X", X0)  # density over (x, p, P)
-    pP = rest.marginalize(("p", "P"))
+    return _prop2_residual(joint.condition("X", X0), target_init, mass_floor)
+
+
+def _prop2_residual(dens, target_init, mass_floor):
+    """Proposition 2 on a density with p and P among its axes: the largest
+    L1 gap between the p-conditional given P and the initial target
+    p-marginal shifted by -P."""
+    ref_p = marginal(target_init, ("p",))
+    pP = dens.marginalize(("p", "P"))
     return _shifted_residual(pP.array.T, pP.values[1], pP.measures[::-1], ref_p.array, -1,
                              mass_floor)
 
@@ -249,7 +253,8 @@ class KrausFamily:
     printed_kernel_discrepancy for the reported residuals.
 
     A label representation is two independent choices: the row label is X
-    or pi_X (``_pi_x``) and the column label is P or pi_P (``_pi_p``).  The
+    or pi_X (``_pi_x``) and the column label is P or pi_P (``_pi_p``);
+    ``label_axes`` names the two, e.g. ("pi_X", "P") for piX_P.  The
     kernel K is the device amplitude with those axes, and the family works
     on the target in (x, p), or (x, pi_p) under pi_P.  Member (a, b) is
     built by one row rule and one column rule:
@@ -279,6 +284,8 @@ class KrausFamily:
         _require_matched(self.grid.x_axis, device.grid.x_axis, "x/X")
         _require_matched(self.grid.p_axis, device.grid.p_axis, "p/P")
         self._pi_x, self._pi_p = label_rep.startswith("piX"), label_rep.endswith("piP")
+        # the device axes that carry the labels, as a coupled state names them
+        self.label_axes = ("pi_X" if self._pi_x else "X", "pi_P" if self._pi_p else "P")
         self._printed = as_printed and self._pi_p
         labels = device.with_conj((self._pi_x, self._pi_p))
         self.kernel = labels.amp
@@ -392,11 +399,16 @@ def printed_kernel_discrepancy(device: PhaseState, phi: PhaseState) -> dict:
     place of X - x) and a lattice shift in place of a phase.  For each label
     representation two residuals are reported, not patched: the L1 gap of
     the label distributions and the L2 gap of the operators' action on the
-    given state (summed over labels, label-measure weighted).
+    given state (summed over labels, label-measure weighted).  Under a P
+    column (X_P, piX_P) the printed family is the unitary one, so both
+    residuals are 0.0 without being computed.
     """
     out = {}
     for rep in LABEL_REPS:
         oracle = kraus_build(device, rep, phi.grid)
+        if not oracle._pi_p:
+            out[rep] = {"probability_l1": 0.0, "action_l2": 0.0}
+            continue
         printed = kraus_build(device, rep, phi.grid, as_printed=True)
         prob_gap = float(
             np.abs(oracle.joint_probabilities(phi) - printed.joint_probabilities(phi)).sum()

@@ -534,12 +534,26 @@ class Density:
         for i in sorted(drop, reverse=True):
             arr = arr.sum(axis=i)
             scale *= self.measures[i]
+        return self._without(drop, arr * scale)
+
+    def condition(self, axis: str, value) -> "Density":
+        """Normalized density over the other axes given the cell of
+        ``axis`` nearest ``value``; ZeroMassSlice if that slice is empty."""
+        i = self.axis_names.index(axis)
+        j = int(np.argmin(np.abs(self.values[i] - value)))
+        sub = self._without((i,), self.array[(slice(None),) * i + (j,)])
+        if sub.mass() * self.measures[i] <= 1e-12:
+            raise ZeroMassSlice(f"slice {axis}={value:g} carries no probability")
+        return sub.normalized()
+
+    def _without(self, drop, array):
+        """``array`` as a density over this one's axes minus ``drop``."""
         sel = [i for i in range(len(self.axis_names)) if i not in drop]
         return Density(
             tuple(self.axis_names[i] for i in sel),
             tuple(self.values[i] for i in sel),
             tuple(self.measures[i] for i in sel),
-            arr * scale,
+            array,
         )
 
 
@@ -585,18 +599,4 @@ def marginal(s: _Field, axes) -> Density:
 
 def conditional(s: _Field, axis: str, value) -> Density:
     """Density over the remaining axes given the nearest cell of ``axis``."""
-    dens = joint_density(s, _names(s, (axis,)))
-    i = dens.axis_names.index(axis)
-    vals = dens.values[i]
-    j = int(np.argmin(np.abs(vals - value)))
-    slc = [slice(None)] * dens.array.ndim
-    slc[i] = j
-    sub = Density(
-        tuple(n for k, n in enumerate(dens.axis_names) if k != i),
-        tuple(v for k, v in enumerate(dens.values) if k != i),
-        tuple(m for k, m in enumerate(dens.measures) if k != i),
-        dens.array[tuple(slc)],
-    )
-    if sub.mass() * dens.measures[i] <= 1e-12:
-        raise ZeroMassSlice(f"slice {axis}={value:g} carries no probability")
-    return sub.normalized()
+    return joint_density(s, _names(s, (axis,))).condition(axis, value)

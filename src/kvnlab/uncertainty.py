@@ -12,6 +12,10 @@ Spreads of the conjugate variables obey the Kennard-Robertson bound, and
 the pi_x-disturbance obeys the hbar-independent product inequality
 
     epsilon * eta_pi_x + epsilon * sigma(pi_x) + sigma(x) * eta_pi_x >= 1/2.
+
+An EDReport holds only measured moments; its slacks, the two sign-trivial
+products and the zero-error claim are properties computed from them, and
+the checks and unbiased_scan read those properties.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from .errors import NonHermitianObservable
 from .phasespace import Observable, PhaseState, expectation, sigma
 from .stateio import write_csv
 
-_TARGET_GENS = ("x", "p", "pi_x", "pi_p")
-_DEVICE_GENS = ("X", "P", "pi_X", "pi_P")
-_DEVICE_LOCAL = {"X": "x", "P": "p", "pi_X": "pi_x", "pi_P": "pi_p"}
+# the first four generators act on the target, the next four on the device;
+# a standalone device state names its axes as a target's (X -> x, pi_P -> pi_p)
+_TARGET_GENS = algebra.GENERATORS[:4]
+_DEVICE_GENS = algebra.GENERATORS[4:8]
+_DEVICE_LOCAL = dict(zip(_DEVICE_GENS, _TARGET_GENS))
 
 _TOL = 1e-9
 _TIGHT_TOL = 1e-12
@@ -88,7 +94,14 @@ def _pointer_algebra(t):
 
 @dataclass
 class EDReport:
-    """Error, disturbances, spreads, and inequality slacks at one time."""
+    """Error, disturbances, spreads and mean offsets at one time.
+
+    The fields are measured; the bounds are properties derived from them,
+    so each inequality is written here once: ``trivial_bounds`` (the two
+    sign-trivial products), ``slack_trivial``, ``slack_ozawa_like`` (the
+    hbar-independent product bound minus 1/2) and
+    ``zero_error_claim_holds``.
+    """
 
     t: float
     epsilon: float
@@ -98,8 +111,6 @@ class EDReport:
     sigma_p: float
     sigma_pi_x: float
     comm_ND: complex
-    slack_trivial: float
-    slack_ozawa_like: float
     unbiased: bool
     mean_error: float = 0.0
     mean_disturbance: float = 0.0
@@ -108,6 +119,28 @@ class EDReport:
         "t", "epsilon", "eta", "eta_pi_x", "sigma_x", "sigma_p", "sigma_pi_x",
         "slack_trivial", "slack_ozawa_like", "unbiased",
     )
+
+    @property
+    def trivial_bounds(self):
+        """(eps * eta, eps * sigma(p) + eta * sigma(x)); both are >= 0."""
+        return (self.epsilon * self.eta,
+                self.epsilon * self.sigma_p + self.eta * self.sigma_x)
+
+    @property
+    def slack_trivial(self):
+        return min(self.trivial_bounds)
+
+    @property
+    def slack_ozawa_like(self):
+        return (self.epsilon * self.eta_pi_x + self.epsilon * self.sigma_pi_x
+                + self.sigma_x * self.eta_pi_x - 0.5)
+
+    @property
+    def zero_error_claim_holds(self):
+        """The stronger claim that the unbiased condition switches the
+        error and disturbance off; true only for point-like states."""
+        return (self.unbiased and self.epsilon <= 1e-8 and self.eta <= 1e-8
+                and self.sigma_x <= 1e-8 and self.sigma_p <= 1e-8)
 
 
 def reports_to_csv(reports, path):
@@ -143,9 +176,6 @@ def error_disturbance(target: PhaseState, device: PhaseState, t) -> EDReport:
     mean_P = expectation(device, "p")
     unbiased = abs(mean_X - (1.0 - t) * mean_x) <= _TOL and abs(mean_P) <= _TOL
 
-    slack_trivial = min(epsilon * eta, epsilon * sig_p + eta * sig_x)
-    slack_ozawa = epsilon * eta_pix + epsilon * sig_pix + sig_x * eta_pix - 0.5
-
     return EDReport(
         t=t,
         epsilon=epsilon,
@@ -155,8 +185,6 @@ def error_disturbance(target: PhaseState, device: PhaseState, t) -> EDReport:
         sigma_p=sig_p,
         sigma_pi_x=sig_pix,
         comm_ND=comm_nd,
-        slack_trivial=slack_trivial,
-        slack_ozawa_like=slack_ozawa,
         unbiased=unbiased,
         mean_error=mean_err,
         mean_disturbance=mean_dist,
@@ -177,8 +205,7 @@ def check_trivial(report: EDReport) -> TrivialCheck:
     Both hold by non-negativity; the check reports where equality is
     attained (error or disturbance switched off).
     """
-    prod = report.epsilon * report.eta
-    mixed = report.epsilon * report.sigma_p + report.eta * report.sigma_x
+    prod, mixed = report.trivial_bounds
     return TrivialCheck(
         product_holds=prod >= -_TIGHT_TOL,
         sum_holds=mixed >= -_TIGHT_TOL,
@@ -189,20 +216,7 @@ def check_trivial(report: EDReport) -> TrivialCheck:
 
 def check_ozawa_like(report: EDReport) -> float:
     """Slack of the hbar-independent product inequality; >= -1e-8 is required."""
-    return (
-        report.epsilon * report.eta_pi_x
-        + report.epsilon * report.sigma_pi_x
-        + report.sigma_x * report.eta_pi_x
-        - 0.5
-    )
-
-
-_OBS_GEN = {
-    "x": algebra.x,
-    "p": algebra.p,
-    "pi_x": algebra.pi_x,
-    "pi_p": algebra.pi_p,
-}
+    return report.slack_ozawa_like
 
 
 def _observable_to_expr(obs):
@@ -211,10 +225,10 @@ def _observable_to_expr(obs):
     for coeff, powers in obs.terms:
         term = algebra.OperatorExpr.scalar(Fraction(coeff))
         for name, e in powers:
-            if name not in _OBS_GEN:
+            if name not in _TARGET_GENS:
                 raise NonHermitianObservable(f"unsupported observable factor {name!r}")
             for _ in range(e):
-                term = algebra.multiply(term, _OBS_GEN[name])
+                term = algebra.multiply(term, algebra.OperatorExpr.gen(name))
         out = out + term
     return out
 
@@ -231,51 +245,20 @@ def kennard_robertson(s: PhaseState, a, b):
     return lhs, rhs, lhs >= rhs - _TOL
 
 
-@dataclass
-class UnbiasedRow:
-    """One row of an unbiased-condition scan."""
-
-    t: float
-    unbiased: bool
-    epsilon: float
-    eta: float
-    mean_error: float
-    mean_disturbance: float
-    zero_error_claim_holds: bool
-
-
 def unbiased_scan(target: PhaseState, device: PhaseState, t_values) -> list:
-    """Evaluate the distributional unbiased condition at each time.
+    """The error/disturbance report at each time, checked against the
+    distributional unbiased condition.
 
     Where the condition holds, the mean error and disturbance vanish (this
-    is asserted).  ``zero_error_claim_holds`` records the stronger claim
-    that the error and disturbance magnitudes themselves vanish there; it
-    is true only for point-like states and is reported, not enforced.
+    is asserted).  Each report's ``zero_error_claim_holds`` records the
+    stronger claim that the error and disturbance magnitudes themselves
+    vanish there; it is true only for point-like states and is reported,
+    not enforced.
     """
-    rows = []
-    for t in t_values:
-        rep = error_disturbance(target, device, t)
-        if rep.unbiased:
-            if abs(rep.mean_error) > 1e-8 or abs(rep.mean_disturbance) > 1e-8:
-                raise AssertionError(
-                    "unbiased condition must force vanishing mean error/disturbance"
-                )
-        claim = (
-            rep.unbiased
-            and rep.epsilon <= 1e-8
-            and rep.eta <= 1e-8
-            and rep.sigma_x <= 1e-8
-            and rep.sigma_p <= 1e-8
-        )
-        rows.append(
-            UnbiasedRow(
-                t=float(t),
-                unbiased=rep.unbiased,
-                epsilon=rep.epsilon,
-                eta=rep.eta,
-                mean_error=rep.mean_error,
-                mean_disturbance=rep.mean_disturbance,
-                zero_error_claim_holds=claim,
+    reports = [error_disturbance(target, device, t) for t in t_values]
+    for rep in reports:
+        if rep.unbiased and (abs(rep.mean_error) > 1e-8 or abs(rep.mean_disturbance) > 1e-8):
+            raise AssertionError(
+                "unbiased condition must force vanishing mean error/disturbance"
             )
-        )
-    return rows
+    return reports

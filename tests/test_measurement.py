@@ -302,6 +302,7 @@ def test_kraus_label_axes_are_device_axes(rep):
     assert fam.label_measure == pytest.approx(d_row * d_col, rel=1e-12)
     assert fam.work_flags == (False, pi_p)
     assert fam.shape == (16, 32)
+    assert fam.label_axes == ("pi_X" if pi_x else "X", "pi_P" if pi_p else "P")
 
 
 def random_state(grid, rng):
@@ -356,12 +357,10 @@ def test_kraus_probabilities_match_readout_joint(grid):
     rng = np.random.default_rng(13)
     target, device = gaussian_pair(grid, rng)
     after = ms.von_neumann_couple(target, device)
-    axes = {"X_P": ("X", "P"), "X_piP": ("X", "pi_P"),
-            "piX_P": ("pi_X", "P"), "piX_piP": ("pi_X", "pi_P")}
-    for rep, ax in axes.items():
+    for rep in ms.LABEL_REPS:
         fam = ms.kraus_build(device, rep, grid)
         probs = fam.joint_probabilities(target)
-        joint = ps.marginal(after, ax)
+        joint = ps.marginal(after, fam.label_axes)
         assert np.abs(probs - joint.array * joint.cell_measure()).sum() < 1e-9
 
 
@@ -418,6 +417,8 @@ def test_printed_kernels_reported_not_patched(grid):
     # the direct-label forms agree with the unitary route exactly
     assert gaps["X_P"]["action_l2"] == 0.0
     assert gaps["piX_P"]["action_l2"] == 0.0
+    assert gaps["X_P"]["probability_l1"] == 0.0
+    assert gaps["piX_P"]["probability_l1"] == 0.0
     # the mixed forms carry the printed sign asymmetry / shift-for-phase slip
     assert gaps["X_piP"]["probability_l1"] > 0.01
     assert gaps["piX_piP"]["action_l2"] > 0.01

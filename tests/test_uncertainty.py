@@ -189,8 +189,15 @@ def test_kennard_robertson_pairs(grid):
 def test_unbiased_scan_gaussian_device(grid):
     target = ps.make_gaussian(grid, 0.5, 0.0, 0.8, 0.8)
     centered = ps.make_gaussian(grid, 0.0, 0.0, 0.6, 0.7)
-    rows = un.unbiased_scan(target, centered, [1.0])
-    row = rows[0]
+    rows = un.unbiased_scan(target, centered, [0.5, 1.0, 2.0])
+    # each row is the time's report itself, with every derived field
+    for row, t in zip(rows, [0.5, 1.0, 2.0]):
+        rep = un.error_disturbance(target, centered, t)
+        assert row == rep
+        for name in ("trivial_bounds", "slack_trivial", "slack_ozawa_like",
+                     "zero_error_claim_holds"):
+            assert getattr(row, name) == getattr(rep, name)
+    row = rows[1]
     assert row.unbiased
     assert abs(row.mean_error) < 1e-9 and abs(row.mean_disturbance) < 1e-9
     # distributional unbiasedness does not switch off the spreads
