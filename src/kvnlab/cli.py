@@ -7,7 +7,13 @@ rerun with the same config and seed reproduces the outputs bit for bit.
 
     kvn-lab <scenario> --config experiment.json [--out DIR] [--seed N]
 
-Exit codes: 0 success, 2 configuration error, 3 scenario error.
+Every config value is read by one rule, ``_value``: numbers must be finite,
+and list entries are named by index (``hbars[1]``).  Tables give the keys of
+each scenario and section; an unknown key is an error.  A configuration
+error comes before any file is written, and an unknown root key before the
+output directory is made.
+
+Exit codes: 0 success, 2 configuration error naming the field, 3 scenario error.
 """
 
 from __future__ import annotations
@@ -31,119 +37,138 @@ from . import uncertainty as un
 from .errors import ConfigError, KvnLabError, MissingArtifact, ScenarioError
 from .stateio import save_state, write_csv, write_json
 
-SCENARIOS = (
-    "evolve", "qm_compare", "measure", "kraus", "uncertainty",
-    "algebra_verify", "pulsed",
-)
-
-
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # the default of a value that must be given
 
-def _fail(path, msg):
-    raise ConfigError(f"{path}: {msg}")
+# each value kind: its name in errors and its test; a float is a number that
+# is not a bool and is finite, which also rejects an int too large for a float
+_KINDS = {
+    float: ("finite float", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max),
+    int: ("int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    str: ("str", lambda v: isinstance(v, str)),
+}
+
+_GRID = {"n_x": int, "n_p": int, "x_min": float, "x_max": float, "p_min": float, "p_max": float}
+
+# the parameters of each state kind; kind k is made by phasespace.make_k, looked
+# up at each call, as perfbench's tracer swaps the module's functions
+_STATE_KINDS = {"gaussian": ("x0", "p0", "sigma_x", "sigma_p"), "point": ("x0", "p0")}
 
 
-def _section(cfg, path, key, required=True):
-    if key not in cfg:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "missing required section")
-        return None
-    val = cfg[key]
-    if not isinstance(val, dict):
-        _fail(f"{path}.{key}" if path else key, "must be an object")
-    return val
+def _fail(name, msg):
+    raise ConfigError(f"{name}: {msg}")
 
 
-def _value(cfg, path, key, kinds, required=True, default=None):
-    if key not in cfg:
-        if required:
-            _fail(f"{path}.{key}", "missing required value")
-        return default
-    val = cfg[key]
-    if kinds is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kinds is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kinds is str and isinstance(val, str):
-        return val
-    if kinds is list and isinstance(val, list):
-        return val
-    _fail(f"{path}.{key}", f"expected {kinds.__name__}")
+def _name(path, key):
+    return f"{path}.{key}" if path else key
 
 
 def _reject_unknown(cfg, path, allowed):
-    unknown = set(cfg) - set(allowed)
+    unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        _fail(f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0],
-              "unknown key")
+        _fail(_name(path, unknown[0]), "unknown key")
 
 
-def _parse_grid(cfg, path):
-    _reject_unknown(cfg, path, ("n_x", "n_p", "x_min", "x_max", "p_min", "p_max"))
+def _value(cfg, path, key, kind, default=_REQUIRED):
+    """``cfg[key]`` checked as ``kind``: float (returned as a float), int, str,
+    or [float], a list of floats whose entries errors name by index, as in
+    ``hbars[1]``.  A key without a ``default`` is required."""
+    name = _name(path, key)
+    if key not in cfg:
+        if default is _REQUIRED:
+            _fail(name, "missing required value")
+        return default
+    val = cfg[key]
+    if kind == [float]:
+        if not isinstance(val, list):
+            _fail(name, "expected list")
+        return [_checked(v, float, f"{name}[{i}]") for i, v in enumerate(val)]
+    return _checked(val, kind, name)
+
+
+def _checked(val, kind, name):
+    what, ok = _KINDS[kind]
+    if not ok(val):
+        _fail(name, f"expected {what}")
+    return float(val) if kind is float else val
+
+
+def _section(cfg, key, keys, required=True):
+    """The object at the root ``key``, or None if it is absent and not
+    ``required``.  A key of it outside ``keys`` is an error, unless ``keys``
+    is None."""
+    if key not in cfg:
+        if required:
+            _fail(key, "missing required section")
+        return None
+    sec = cfg[key]
+    if not isinstance(sec, dict):
+        _fail(key, "must be an object")
+    if keys is not None:
+        _reject_unknown(sec, key, keys)
+    return sec
+
+
+def _built(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a library error it raises is a config error
+    at ``path``."""
     try:
-        return ps.Grid2D(
-            _value(cfg, path, "n_x", int),
-            _value(cfg, path, "n_p", int),
-            _value(cfg, path, "x_min", float),
-            _value(cfg, path, "x_max", float),
-            _value(cfg, path, "p_min", float),
-            _value(cfg, path, "p_max", float),
-        )
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except (ValueError, KvnLabError) as exc:
         _fail(path, str(exc))
 
 
-def _parse_state(cfg, path, grid):
-    kind = _value(cfg, path, "kind", str)
-    if kind == "gaussian":
-        _reject_unknown(cfg, path, ("kind", "x0", "p0", "sigma_x", "sigma_p"))
-        args = {k: _value(cfg, path, k, float) for k in ("x0", "p0", "sigma_x", "sigma_p")}
-        try:
-            return ps.make_gaussian(grid, **args)
-        except KvnLabError as exc:
-            _fail(path, str(exc))
-    if kind == "point":
-        _reject_unknown(cfg, path, ("kind", "x0", "p0"))
-        try:
-            return ps.make_point(grid, _value(cfg, path, "x0", float), _value(cfg, path, "p0", float))
-        except KvnLabError as exc:
-            _fail(path, str(exc))
-    _fail(f"{path}.kind", f"unknown state kind {kind!r}")
+def _grid(cfg):
+    sec = _section(cfg, "grid", _GRID)
+    return _built("grid", ps.Grid2D,
+                  **{k: _value(sec, "grid", k, kind) for k, kind in _GRID.items()})
 
 
-def _parse_hamiltonian(cfg, path):
-    _reject_unknown(cfg, path, ("mass", "kinetic", "potential"))
-    mass = _value(cfg, path, "mass", float)
+def _state(cfg, key, grid):
+    sec = _section(cfg, key, None)
+    kind = _value(sec, key, "kind", str)
+    if kind not in _STATE_KINDS:
+        _fail(f"{key}.kind", f"unknown state kind {kind!r}")
+    params = _STATE_KINDS[kind]
+    _reject_unknown(sec, key, ("kind", *params))
+    return _built(key, getattr(ps, f"make_{kind}"), grid,
+                  *(_value(sec, key, k, float) for k in params))
+
+
+def _states(cfg):
+    """The grid, target state and device state of a target-device scenario."""
+    grid = _grid(cfg)
+    return grid, _state(cfg, "target_state", grid), _state(cfg, "device_state", grid)
+
+
+def _hamiltonian(cfg, key, required=True):
+    """The HamiltonianSpec at the root ``key``; an optional one that is absent
+    or empty is None."""
+    sec = _section(cfg, key, ("mass", "kinetic", "potential"), required)
+    if not (sec or required):
+        return None
+    mass = _value(sec, key, "mass", float)
     if mass <= 0:
-        _fail(f"{path}.mass", f"must be positive, got {mass:g}")
-    kwargs = {"mass": mass}
-    for key in ("kinetic", "potential"):
-        if key in cfg:
-            seq = _value(cfg, path, key, list)
-            kwargs[key] = tuple(float(v) for v in seq)
-    try:
-        return dyn.HamiltonianSpec(**kwargs)
-    except KvnLabError as exc:
-        _fail(path, str(exc))
+        _fail(f"{key}.mass", f"must be positive, got {mass:g}")
+    terms = {k: tuple(_value(sec, key, k, [float])) for k in ("kinetic", "potential") if k in sec}
+    return _built(key, dyn.HamiltonianSpec, mass=mass, **terms)
 
 
-def _parse_plan(cfg, path):
-    _reject_unknown(cfg, path, ("dt", "n_steps", "splitting", "hbar", "convention"))
-    try:
-        plan = dyn.PropagationPlan(
-            dt=_value(cfg, path, "dt", float),
-            n_steps=_value(cfg, path, "n_steps", int),
-            splitting=_value(cfg, path, "splitting", str, required=False, default="strang"),
-            hbar=_value(cfg, path, "hbar", float, required=False, default=0.0),
-        )
-    except ValueError as exc:
-        _fail(path, str(exc))
-    convention = _value(cfg, path, "convention", str, required=False, default="full_appendixE")
+def _plan(cfg):
+    """The PropagationPlan and the deformation convention of ``plan``."""
+    sec = _section(cfg, "plan", ("dt", "n_steps", "splitting", "hbar", "convention"))
+    plan = _built("plan", dyn.PropagationPlan,
+                  dt=_value(sec, "plan", "dt", float),
+                  n_steps=_value(sec, "plan", "n_steps", int),
+                  splitting=_value(sec, "plan", "splitting", str, "strang"),
+                  hbar=_value(sec, "plan", "hbar", float, 0.0))
+    convention = _value(sec, "plan", "convention", str, "full_appendixE")
     if convention not in dyn.DEFORM_CONVENTIONS:
-        _fail(f"{path}.convention", f"unknown convention {convention!r}")
+        _fail("plan.convention", f"unknown convention {convention!r}")
     return plan, convention
 
 
@@ -218,15 +243,13 @@ def _moments(state, names):
 
 
 def _scenario_evolve(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "grid", "hamiltonian", "initial_state",
-                              "plan", "snapshot_every", "seed"))
-    grid = _parse_grid(_section(cfg, "", "grid"), "grid")
-    h = _parse_hamiltonian(_section(cfg, "", "hamiltonian"), "hamiltonian")
-    state = _parse_state(_section(cfg, "", "initial_state"), "initial_state", grid)
-    plan, _ = _parse_plan(_section(cfg, "", "plan"), "plan")
+    grid = _grid(cfg)
+    h = _hamiltonian(cfg, "hamiltonian")
+    state = _state(cfg, "initial_state", grid)
+    plan, _ = _plan(cfg)
     if plan.hbar != 0.0:
         _fail("plan.hbar", "evolve is the classical scenario; use qm_compare for hbar > 0")
-    snapshot_every = _value(cfg, "", "snapshot_every", int, required=False, default=0)
+    snapshot_every = _value(cfg, "", "snapshot_every", int, 0)
     if snapshot_every < 0:
         _fail("snapshot_every", "must be >= 0")
 
@@ -253,13 +276,14 @@ def _scenario_evolve(cfg, out, seed, manifest):
 
 
 def _scenario_qm_compare(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "grid", "hamiltonian", "initial_state", "plan",
-                              "hbars", "seed"))
-    grid = _parse_grid(_section(cfg, "", "grid"), "grid")
-    h = _parse_hamiltonian(_section(cfg, "", "hamiltonian"), "hamiltonian")
-    state = _parse_state(_section(cfg, "", "initial_state"), "initial_state", grid)
-    hbars = [float(v) for v in _value(cfg, "", "hbars", list)]
-    plan, convention = _parse_plan(_section(cfg, "", "plan"), "plan")
+    grid = _grid(cfg)
+    h = _hamiltonian(cfg, "hamiltonian")
+    state = _state(cfg, "initial_state", grid)
+    hbars = _value(cfg, "", "hbars", [float])
+    for i, hbar in enumerate(hbars):
+        if hbar < 0:
+            _fail(f"hbars[{i}]", "must be >= 0")
+    plan, convention = _plan(cfg)
 
     scan = dyn.classical_limit_scan(
         state, h, plan.dt * plan.n_steps, hbars,
@@ -270,12 +294,8 @@ def _scenario_qm_compare(cfg, out, seed, manifest):
 
 
 def _scenario_measure(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "grid", "target_state", "device_state",
-                              "readout_axis", "seed"))
-    grid = _parse_grid(_section(cfg, "", "grid"), "grid")
-    target = _parse_state(_section(cfg, "", "target_state"), "target_state", grid)
-    device = _parse_state(_section(cfg, "", "device_state"), "device_state", grid)
-    axis = _value(cfg, "", "readout_axis", str, required=False, default="X")
+    grid, target, device = _states(cfg)
+    axis = _value(cfg, "", "readout_axis", str, "X")
     if axis not in ms.READOUT_AXES:
         _fail("readout_axis", f"invalid readout axis {axis!r}")
 
@@ -293,8 +313,8 @@ def _scenario_measure(cfg, out, seed, manifest):
     r1, r2 = ms.check_simultaneity(after, target, device)
     classical_inst = ms.pointer_instantiated_residual(after, target)
     qx = grid.x_axis
-    phi_q = _quantum_profile(_section(cfg, "", "target_state"), qx)
-    eta_q = _quantum_profile(_section(cfg, "", "device_state"), qx)
+    phi_q = _quantum_profile(cfg["target_state"], qx)
+    eta_q = _quantum_profile(cfg["device_state"], qx)
     q1, q2 = ms.quantum_simultaneity_probe(phi_q, eta_q, qx)
     payload = {
         "prop1_residual": r1,
@@ -315,12 +335,8 @@ def _quantum_profile(state_cfg, axis):
 
 
 def _scenario_kraus(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "grid", "target_state", "device_state",
-                              "label_rep", "seed"))
-    grid = _parse_grid(_section(cfg, "", "grid"), "grid")
-    target = _parse_state(_section(cfg, "", "target_state"), "target_state", grid)
-    device = _parse_state(_section(cfg, "", "device_state"), "device_state", grid)
-    label_rep = _value(cfg, "", "label_rep", str, required=False, default="X_P")
+    grid, target, device = _states(cfg)
+    label_rep = _value(cfg, "", "label_rep", str, "X_P")
     if label_rep not in ms.LABEL_REPS:
         _fail("label_rep", f"unknown label representation {label_rep!r}")
 
@@ -346,20 +362,16 @@ def _scenario_kraus(cfg, out, seed, manifest):
 
 
 def _scenario_uncertainty(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "grid", "target_state", "device_state",
-                              "t_values", "ensemble", "seed"))
-    grid = _parse_grid(_section(cfg, "", "grid"), "grid")
-    target = _parse_state(_section(cfg, "", "target_state"), "target_state", grid)
-    device = _parse_state(_section(cfg, "", "device_state"), "device_state", grid)
-    t_values = [float(v) for v in _value(cfg, "", "t_values", list)]
+    grid, target, device = _states(cfg)
+    t_values = _value(cfg, "", "t_values", [float])
+    ens = _section(cfg, "ensemble", ("members", "t"), required=False)
+    members, t_ens = (0, 1.0) if ens is None else (
+        _value(ens, "ensemble", "members", int), _value(ens, "ensemble", "t", float, 1.0))
+    if members < 0:
+        _fail("ensemble.members", "must be >= 0")
 
     reports = [un.error_disturbance(target, device, t) for t in t_values]
-
-    ens_cfg = _section(cfg, "", "ensemble", required=False)
-    if ens_cfg is not None:
-        _reject_unknown(ens_cfg, "ensemble", ("members", "t"))
-        members = _value(ens_cfg, "ensemble", "members", int)
-        t_ens = _value(ens_cfg, "ensemble", "t", float, required=False, default=1.0)
+    if members:
         rng = np.random.default_rng(seed)
         for tgt, dev in _gaussian_ensemble(grid, members, rng):
             reports.append(un.error_disturbance(tgt, dev, t_ens))
@@ -392,7 +404,6 @@ def _gaussian_ensemble(grid, members, rng):
 
 
 def _scenario_algebra_verify(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "seed"))
     results = algebra.verify_identity_suite()
     records = [
         {"name": r.name, "pass": r.passed, "residual_term_count": r.residual_term_count}
@@ -407,19 +418,13 @@ def _scenario_algebra_verify(cfg, out, seed, manifest):
 
 
 def _scenario_pulsed(cfg, out, seed, manifest):
-    _reject_unknown(cfg, "", ("scenario", "grid", "target_state", "device_state",
-                              "target_hamiltonian", "device_hamiltonian",
-                              "eps", "t1", "t_total", "plan", "seed"))
-    grid = _parse_grid(_section(cfg, "", "grid"), "grid")
-    target = _parse_state(_section(cfg, "", "target_state"), "target_state", grid)
-    device = _parse_state(_section(cfg, "", "device_state"), "device_state", grid)
-    h_t = _parse_hamiltonian(_section(cfg, "", "target_hamiltonian"), "target_hamiltonian")
-    h_d_cfg = _section(cfg, "", "device_hamiltonian", required=False)
-    h_d = _parse_hamiltonian(h_d_cfg, "device_hamiltonian") if h_d_cfg else None
+    grid, target, device = _states(cfg)
+    h_t = _hamiltonian(cfg, "target_hamiltonian")
+    h_d = _hamiltonian(cfg, "device_hamiltonian", required=False)
     eps = _value(cfg, "", "eps", float)
     t1 = _value(cfg, "", "t1", float)
     t_total = _value(cfg, "", "t_total", float)
-    plan, _ = _parse_plan(_section(cfg, "", "plan"), "plan")
+    plan, _ = _plan(cfg)
     if not 0.0 < t1 < t_total:
         _fail("t1", "need 0 < t1 < t_total")
 
@@ -439,15 +444,21 @@ def _scenario_pulsed(cfg, out, seed, manifest):
     manifest.record(out / "pulsed.json")
 
 
-_SCENARIO_RUNNERS = {
-    "evolve": _scenario_evolve,
-    "qm_compare": _scenario_qm_compare,
-    "measure": _scenario_measure,
-    "kraus": _scenario_kraus,
-    "uncertainty": _scenario_uncertainty,
-    "algebra_verify": _scenario_algebra_verify,
-    "pulsed": _scenario_pulsed,
+_FLIGHT = ("grid", "hamiltonian", "initial_state", "plan")
+_POINTER = ("grid", "target_state", "device_state")
+
+# each scenario's runner and the root keys it reads, besides scenario and seed
+_SCENARIOS = {
+    "evolve": (_scenario_evolve, (*_FLIGHT, "snapshot_every")),
+    "qm_compare": (_scenario_qm_compare, (*_FLIGHT, "hbars")),
+    "measure": (_scenario_measure, (*_POINTER, "readout_axis")),
+    "kraus": (_scenario_kraus, (*_POINTER, "label_rep")),
+    "uncertainty": (_scenario_uncertainty, (*_POINTER, "t_values", "ensemble")),
+    "algebra_verify": (_scenario_algebra_verify, ()),
+    "pulsed": (_scenario_pulsed, (*_POINTER, "target_hamiltonian", "device_hamiltonian",
+                                  "eps", "t1", "t_total", "plan")),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run(config, out_dir, seed=None):
@@ -460,9 +471,11 @@ def run(config, out_dir, seed=None):
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
     scenario = _value(config, "", "scenario", str)
-    if scenario not in SCENARIOS:
+    if scenario not in _SCENARIOS:
         _fail("scenario", f"unknown scenario {scenario!r}")
-    config_seed = _value(config, "", "seed", int) if "seed" in config else 0
+    runner, keys = _SCENARIOS[scenario]
+    _reject_unknown(config, "", ("scenario", "seed", *keys))
+    config_seed = _value(config, "", "seed", int, 0)
     if seed is None:
         seed = config_seed
 
@@ -476,7 +489,7 @@ def run(config, out_dir, seed=None):
         out_dir=str(out),
     )
     try:
-        _SCENARIO_RUNNERS[scenario](config, out, seed, manifest)
+        runner(config, out, seed, manifest)
     except ConfigError:
         raise
     except KvnLabError as exc:
@@ -488,41 +501,34 @@ def run(config, out_dir, seed=None):
     return manifest
 
 
-PLOT_KINDS = ("trajectory", "distribution", "inequality_sweep")
+def _density(rows):
+    """readout.csv's probabilities divided by the spacing of the read values."""
+    dv = rows[1]["value"] - rows[0]["value"] if len(rows) > 1 else 1.0
+    return [(r["value"], r["probability"] / dv) for r in rows]
+
+
+# each plot kind's source file, its columns, and its rows from the source's rows
+_PLOTS = {
+    "trajectory": ("trajectory.csv", ("t", "x_mean", "p_mean"),
+                   lambda rows: [(r["t"], r["x_mean"], r["p_mean"]) for r in rows]),
+    "distribution": ("readout.csv", ("value", "density"), _density),
+    "inequality_sweep": ("uncertainty.csv", ("t", "slack_ozawa_like"),
+                         lambda rows: [(r["t"], r["slack_ozawa_like"]) for r in rows]),
+}
+PLOT_KINDS = tuple(_PLOTS)
 
 
 def emit_plot_data(manifest: RunManifest, kind: str) -> Path:
     """Write a two-or-three-column CSV ready for gnuplot or a spreadsheet."""
-    if kind not in PLOT_KINDS:
+    if kind not in _PLOTS:
         raise ValueError(f"unknown plot kind {kind!r}")
+    source, columns, rows_of = _PLOTS[kind]
     out = Path(manifest.out_dir)
-    if kind == "trajectory":
-        src = out / "trajectory.csv"
-        if not src.exists():
-            raise MissingArtifact(f"{src} not produced by this run")
-        rows = _read_csv(src)
-        path = out / "plot_trajectory.csv"
-        write_csv(path, ("t", "x_mean", "p_mean"),
-                  [(r["t"], r["x_mean"], r["p_mean"]) for r in rows])
-        return path
-    if kind == "distribution":
-        src = out / "readout.csv"
-        if not src.exists():
-            raise MissingArtifact(f"{src} not produced by this run")
-        rows = _read_csv(src)
-        values = [r["value"] for r in rows]
-        dv = values[1] - values[0] if len(values) > 1 else 1.0
-        path = out / "plot_distribution.csv"
-        write_csv(path, ("value", "density"),
-                  [(r["value"], r["probability"] / dv) for r in rows])
-        return path
-    src = out / "uncertainty.csv"
+    src = out / source
     if not src.exists():
         raise MissingArtifact(f"{src} not produced by this run")
-    rows = _read_csv(src)
-    path = out / "plot_inequality_sweep.csv"
-    write_csv(path, ("t", "slack_ozawa_like"),
-              [(r["t"], r["slack_ozawa_like"]) for r in rows])
+    path = out / f"plot_{kind}.csv"
+    write_csv(path, columns, rows_of(_read_csv(src)))
     return path
 
 
@@ -554,30 +560,23 @@ def main(argv=None):
                         help="also emit plot data of this kind")
     args = parser.parse_args(argv)
 
-    if args.config is None:
-        if args.scenario != "algebra_verify":
-            print("config error: --config is required", file=sys.stderr)
-            return 2
-        config = {}
-    else:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-
-    if not isinstance(config, dict):
-        print("config error: root must be an object", file=sys.stderr)
-        return 2
-    if config.get("scenario", args.scenario) != args.scenario:
-        print("config error: scenario: does not match the command line", file=sys.stderr)
-        return 2
-    config["scenario"] = args.scenario
-
-    out_dir = args.out or (Path(args.config).stem + ".out" if args.config else "algebra.out")
-
     try:
+        if args.config is not None:
+            try:
+                with open(args.config) as fh:
+                    config = json.load(fh)
+            except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+                raise ConfigError(str(exc)) from exc
+        elif args.scenario == "algebra_verify":
+            config = {}
+        else:
+            raise ConfigError("--config is required")
+        if not isinstance(config, dict):
+            raise ConfigError("root must be an object")
+        if config.get("scenario", args.scenario) != args.scenario:
+            _fail("scenario", "does not match the command line")
+        config["scenario"] = args.scenario
+        out_dir = args.out or (Path(args.config).stem + ".out" if args.config else "algebra.out")
         manifest = run(config, out_dir, seed=args.seed)
         if args.plot:
             emit_plot_data(manifest, args.plot)

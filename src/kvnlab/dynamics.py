@@ -28,7 +28,9 @@ hbar = 0 every factor, fused or not, is checked before it is applied: it
 may wrap at most 1e-6 of the probability around the periodic box, and since
 a shear is linear in its duration, a fused check covers every step it
 replaced.  Each factor carries the error its guard raises: UnstablePlan
-for the propagators' shears, ShiftOverflow for the pointer coupling.  The
+for the propagators' shears, ShiftOverflow for the pointer coupling.  A
+guard fails closed: a factor that moves cells by a non-finite amount, or a
+NaN wrap mass or boundary growth, raises it too.  The
 pulsed run is one such program, so its device flight, which commutes with
 the coupling, is one shear.  With an observer the steps stay apart, but
 where the last factor of a step merges with the first of the next, as
@@ -339,11 +341,15 @@ def _edge_mass(amp, edges):
 def _compile(f, axis, ndim, check_wrap, real=False):
     """The phase array of ``f`` on an ``ndim``-axis field, on the half
     spectrum 2*pi*rfftfreq(n, d) when ``real``, and, when guarded, its
-    wrapped cells (see _edges)."""
+    wrapped cells (see _edges).  Raises ``f.error`` when tau * shift is not
+    finite anywhere: a NaN shift marks no cell as wrapped."""
     k = 2.0 * np.pi * np.fft.rfftfreq(axis.n, axis.d) if real else axis.conj_coords()
     k = _along(k, f.axis, ndim)
     arg = f.shift * k if not f.curv else f.shift * k + f.curv * k**2
-    edges = _edges(axis, f.axis, f.tau * f.shift, ndim) if check_wrap else None
+    moved = f.tau * f.shift
+    if not np.isfinite(moved).all():
+        raise f.error(f"{f.label} moves cells by a non-finite amount")
+    edges = _edges(axis, f.axis, moved, ndim) if check_wrap else None
     return np.exp(-1j * f.tau * arg), edges
 
 
@@ -472,7 +478,7 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         phase, edges = phase_of(f, axis, amp.ndim)
         if edges is not None:
             mass = _edge_mass(amp, edges) * weight
-            if mass > _WRAP_LIMIT:
+            if not mass <= _WRAP_LIMIT:  # a NaN mass fails too
                 raise f.error(f"{f.label} wraps {mass:.3e} of the mass around the "
                               f"{name} range")
         return phase
@@ -673,7 +679,7 @@ def _evolve_2d(s, h, plan, a, b, observer, check_stability):
         state = PhaseState(grid, "xp", amp)
         if band_check:
             new_band = boundary_mass(state)
-            if new_band - band > _BOUNDARY_GROWTH_LIMIT:
+            if not new_band - band <= _BOUNDARY_GROWTH_LIMIT:  # a NaN growth fails too
                 raise UnstablePlan(f"boundary mass grew by {new_band - band:.3e} in step {i}")
             band = new_band
         if observer is not None:

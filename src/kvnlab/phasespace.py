@@ -143,6 +143,9 @@ class _Field:
         self._axes = tuple(axes)
         self._conj = tuple(bool(c) for c in conj)
         amp = np.ascontiguousarray(amp, dtype=np.complex128)
+        sizes = tuple(ax.n for ax in self._axes)
+        if amp.shape != sizes:
+            raise ValueError(f"amplitude of shape {amp.shape} on axes of sizes {sizes}")
         amp.setflags(write=False)
         self.amp = amp
 

@@ -52,7 +52,8 @@ def save_state(state, path):
 
 def load_state(path):
     """Read a state container.  Raises ValueError naming ``path`` when the
-    file is not one, or holds more or fewer bytes than its header needs."""
+    file is not one, holds more or fewer bytes than its header needs, or
+    its header holds an axis that Grid2D rejects."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
@@ -77,13 +78,19 @@ def load_state(path):
             raise ValueError(f"{path}: a {shape} state needs {need} bytes, the file has {size}")
         amp = np.frombuffer(fh.read(), "<c16").reshape(shape)
     if n_axes == 2:
-        grid = Grid2D(shape[0], shape[1], specs[0][1], specs[0][2], specs[1][1], specs[1][2])
-        return PhaseState(grid, _FLAGS_REP[flags], amp)
+        return PhaseState(_grid(path, specs, 0), _FLAGS_REP[flags], amp)
     if n_axes == 4:
-        tg = Grid2D(shape[0], shape[1], specs[0][1], specs[0][2], specs[1][1], specs[1][2])
-        dg = Grid2D(shape[2], shape[3], specs[2][1], specs[2][2], specs[3][1], specs[3][2])
-        return BipartiteState(tg, dg, flags, amp)
+        return BipartiteState(_grid(path, specs, 0), _grid(path, specs, 2), flags, amp)
     raise ValueError(f"{path}: unsupported axis count {n_axes}")
+
+
+def _grid(path, specs, i):
+    """The Grid2D of header axes i and i + 1; a bad axis names ``path``."""
+    (n_x, x_min, x_max), (n_p, p_min, p_max) = specs[i:i + 2]
+    try:
+        return Grid2D(n_x, n_p, x_min, x_max, p_min, p_max)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _csv_field(v):

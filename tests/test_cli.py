@@ -180,6 +180,7 @@ def test_unknown_keys_rejected(tmp_path):
     cfg = dict(EVOLVE_CFG, scenario="evolve", typo_key=1)
     with pytest.raises(ConfigError, match="typo_key"):
         cli.run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
     cfg2 = dict(EVOLVE_CFG, scenario="evolve")
     cfg2["grid"] = dict(cfg2["grid"], padding=3)
     with pytest.raises(ConfigError, match="grid.padding"):
@@ -188,6 +189,43 @@ def test_unknown_keys_rejected(tmp_path):
     cfg3 = dict(EVOLVE_CFG, scenario="evolve", hamiltonian={"mass": 1.0, "coupling": 0.5})
     with pytest.raises(ConfigError, match="hamiltonian.coupling: unknown key"):
         cli.run(cfg3, tmp_path / "out")
+
+
+QM_CFG = dict(EVOLVE_CFG, hbars=[0.0, 0.1])
+UNCERTAINTY_CFG = dict(POINTER_CFG, t_values=[0.5, 1.0], ensemble={"members": 2})
+NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
+
+
+# a list entry that is no finite number, a non-finite number or a negative
+# count exits 2, and stderr names the field
+@pytest.mark.parametrize("scenario, cfg, message", [
+    ("qm_compare", dict(QM_CFG, hbars=["a"]), "hbars[0]: expected finite float"),
+    ("qm_compare", dict(QM_CFG, hbars=[0.0, None]), "hbars[1]: expected finite float"),
+    ("qm_compare", dict(QM_CFG, hbars=[-0.1]), "hbars[0]: must be >= 0"),
+    ("qm_compare", dict(QM_CFG, hbars=[INF]), "hbars[0]: expected finite float"),
+    ("qm_compare", dict(QM_CFG, hbars=[0.0, True]), "hbars[1]: expected finite float"),
+    ("uncertainty", dict(UNCERTAINTY_CFG, t_values=["x"]), "t_values[0]: expected finite float"),
+    ("uncertainty", dict(UNCERTAINTY_CFG, t_values=[0.5, NAN]),
+     "t_values[1]: expected finite float"),
+    ("uncertainty", dict(UNCERTAINTY_CFG, ensemble={"members": -2}),
+     "ensemble.members: must be >= 0"),
+    ("evolve", dict(EVOLVE_CFG, hamiltonian={"mass": 1.0, "kinetic": ["x"]}),
+     "hamiltonian.kinetic[0]: expected finite float"),
+    ("evolve", dict(EVOLVE_CFG, hamiltonian={"mass": 1.0, "potential": [0, 0, "q"]}),
+     "hamiltonian.potential[2]: expected finite float"),
+    ("evolve", dict(EVOLVE_CFG, hamiltonian={"mass": 1.0, "potential": [0, 0, NAN]}),
+     "hamiltonian.potential[2]: expected finite float"),
+    ("evolve", dict(EVOLVE_CFG, hamiltonian={"mass": INF}),
+     "hamiltonian.mass: expected finite float"),
+    ("pulsed", dict(PULSED_CFG, eps=NAN), "eps: expected finite float"),
+    ("pulsed", dict(PULSED_CFG, eps=INF), "eps: expected finite float"),
+], ids=["hbars-str", "hbars-null", "hbars-negative", "hbars-inf", "hbars-true", "t_values-str",
+        "t_values-nan", "members-negative", "kinetic-str", "potential-str", "potential-nan",
+        "mass-inf", "eps-nan", "eps-inf"])
+def test_malformed_value_named(tmp_path, capsys, scenario, cfg, message):
+    path = write_config(tmp_path, cfg)
+    assert cli.main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_missing_section_named(tmp_path):

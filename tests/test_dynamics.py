@@ -403,6 +403,45 @@ def test_couple_evolve_shift_overflow():
         dyn.couple_evolve(s, 1.0, 2.0)
 
 
+def _point_pair(grid):
+    return ps.product_state(ps.make_point(grid, 0.5, 0.5), ps.make_point(grid, 0.0, 0.0))
+
+
+def _nan_couple(grid):
+    return dyn.couple_evolve(_point_pair(grid), math.nan, 1.0)
+
+
+def _nan_potential(grid):
+    h = dyn.HamiltonianSpec(potential=(0.0, 0.0, math.nan))
+    return dyn.kvn_evolve(ps.make_point(grid, 0.5, 0.5), h, dyn.PropagationPlan(0.1, 2))
+
+
+def _nan_pulse(grid):
+    h = dyn.HamiltonianSpec.free(1.0)
+    return dyn.pulsed_propagator(_point_pair(grid), h, h, math.nan, 0.4, 1.0,
+                                 dyn.PropagationPlan(0.1, 4))
+
+
+@pytest.mark.parametrize("call, error", [(_nan_couple, ShiftOverflow),
+                                         (_nan_potential, UnstablePlan),
+                                         (_nan_pulse, ShiftOverflow)],
+                         ids=["couple", "potential", "pulse"])
+def test_non_finite_shift_raises(call, error):
+    # a NaN shift marks no cell as wrapped, so the guard must fail closed
+    with pytest.raises(error, match="non-finite"):
+        call(ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0))
+
+
+def test_nan_amplitude_fails_the_guards():
+    grid = ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0)
+    s = ps.PhaseState(grid, "xp", np.full((16, 16), math.nan))
+    h = dyn.HamiltonianSpec.free(1.0)
+    with pytest.raises(UnstablePlan, match="wraps nan"):
+        dyn.kvn_evolve(s, h, dyn.PropagationPlan(0.1, 2))
+    with pytest.raises(UnstablePlan, match="boundary mass grew by nan"):
+        dyn.qm_evolve(s, h, dyn.PropagationPlan(0.1, 2, hbar=0.1))
+
+
 def test_pulsed_eps_zero_equals_free():
     grid = ps.Grid2D(32, 32, -8.0, 8.0, -8.0, 8.0)
     target = ps.make_gaussian(grid, -1.0, 0.5, 1.0, 1.0)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -310,21 +311,39 @@ def test_save_state_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
     assert pool.submitted == 2
 
 
+def test_field_rejects_amplitude_of_wrong_shape():
+    # such a state would save a file that load_state rejects for its size
+    g = ps.Grid2D(8, 8, -4.0, 4.0, -4.0, 4.0)
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) on axes of sizes \(8, 8\)"):
+        ps.PhaseState(g, "xp", np.ones((4, 4)))
+    with pytest.raises(ValueError, match=r"shape \(8, 8, 8\) on axes of sizes \(8, 8, 8, 8\)"):
+        ps.BipartiteState(g, g, (False,) * 4, np.ones((8, 8, 8)))
+
+
 def test_state_container_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.state"
     bad.write_bytes(b"NOTASTATE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="not a state container"):
         load_state(bad)
     # a 16^2 container cut in its header or its payload, or with bytes after
-    # it: the error names the file and both sizes
+    # it: the error names the file and both sizes.  A header axis that Grid2D
+    # rejects (x_max below x_min; 12 x cells, with a payload to match) names
+    # the file too
     g = ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0)
     save_state(ps.make_gaussian(g, 0.0, 0.0, 1.0, 1.0), bad)
     raw = bad.read_bytes()
     assert len(raw) == 66 + 16 * 16 * 16
+    x_axis = slice(18, 42)  # after the 16-byte head and the 2 conjugate flags
+    assert struct.unpack("<Qdd", raw[x_axis]) == (16, -4.0, 4.0)
+    reversed_x = raw[:x_axis.start] + struct.pack("<Qdd", 16, 4.0, -4.0) + raw[x_axis.stop:]
+    twelve_x = (raw[:x_axis.start] + struct.pack("<Qdd", 12, -4.0, 4.0)
+                + raw[x_axis.stop:66 + 16 * 12 * 16])
     for data, message in ((raw[:40], "a 2-axis header needs 66 bytes, the file has 40"),
                           (raw[:12], "the header needs 16 bytes, the file has 12"),
                           (raw[:-1], "a (16, 16) state needs 4162 bytes, the file has 4161"),
-                          (raw + b"\x00", "a (16, 16) state needs 4162 bytes, the file has 4163")):
+                          (raw + b"\x00", "a (16, 16) state needs 4162 bytes, the file has 4163"),
+                          (reversed_x, "axis range must have vmax > vmin"),
+                          (twelve_x, "axis size must be a power of two >= 8, got 12")):
         bad.write_bytes(data)
         with pytest.raises(ValueError) as err:
             load_state(bad)
