@@ -369,6 +369,8 @@ def _scenario_uncertainty(cfg, out, seed, manifest):
         _value(ens, "ensemble", "members", int), _value(ens, "ensemble", "t", float, 1.0))
     if members < 0:
         _fail("ensemble.members", "must be >= 0")
+    if members and seed < 0:
+        _fail("seed", f"must be >= 0 to draw an ensemble, got {seed}")
 
     reports = [un.error_disturbance(target, device, t) for t in t_values]
     if members:
@@ -480,6 +482,7 @@ def run(config, out_dir, seed=None):
         seed = config_seed
 
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         scenario=scenario,
@@ -491,6 +494,8 @@ def run(config, out_dir, seed=None):
     try:
         runner(config, out, seed, manifest)
     except ConfigError:
+        if made:  # every config error comes before the runner writes a file
+            out.rmdir()
         raise
     except KvnLabError as exc:
         manifest.status = f"failed: {exc}"

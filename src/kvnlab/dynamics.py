@@ -47,15 +47,6 @@ kick and the pointer shift, applied as it is formed (see _form).  The rest
 run in place on that buffer; a program with no coupling factor returns a
 product state again.
 
-A factor on an array of at least 2**16 elements (a 256^2 state, a 16^4
-pair and up) runs on every usable core, one slab per core (see _split), as
-do the inverse transforms of a formed coupling: an observed 256^2 flight
-runs its momentum kicks on row halves and its drifts on column halves.  The
-result is bit-identical to the serial one.  _together is the one place that
-hands work to the pool, for these slabs and for stateio.save_state, which
-hashes a state of that size while it writes it.  The usable cores are the
-process's CPU affinity, so ``taskset -c 0`` keeps all of it serial.
-
 The hbar-deformed propagator evolves H(x + a*hbar*pi_p, p + b*hbar*pi_x)
 with (a, b) fixed by a deformation convention.  Its factors carry a pi^2
 term, so they are not pure shears: they do not fuse across steps, and each
@@ -67,15 +58,13 @@ out so the classical limit is numerically meaningful.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from . import algebra
+from ._slabs import cut, split
 from .errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 from . import phasespace
 from .phasespace import PhaseState, boundary_mass, l2_distance, product_state
@@ -86,45 +75,6 @@ _BOUNDARY_GROWTH_LIMIT = 1e-6
 _WRAP_LIMIT = 1e-6
 # the most squared norm a real-path flight may drop at its Nyquist bins
 _NYQUIST_LIMIT = 1e-12
-
-# A factor on at least this many elements runs in one block per usable core.
-# Serial time over two-slab time of one complex _pass along each axis, best
-# of 9 x 50 (x 10 from 2**18), two runs, on a 2-vCPU Intel Xeon KVM guest
-# with Python 3.11 and numpy 2.4:
-#   128^2 0.59-0.87 | 256x128, 128x256 0.67-1.20 | 256^2 1.22-1.94
-#   16^4 0.99-1.74 | 512^2 1.47-2.09 | 32^4 1.29-2.45
-# 2**16 splits 256^2 and 16^4, which gain on every axis (one 16^4 reading of
-# 0.99 aside), and keeps 2**15 and below, which lose about as often, serial.
-_PARALLEL_MIN = 1 << 16
-
-_pool = None  # (executor or None, cores), made on first use
-_pool_lock = threading.Lock()
-
-
-def _drop_pool():
-    # a forked child inherits the executor but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor():
-    """The thread pool of _together (None on one core), and the core count."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-            executor = None
-            if cores > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                executor = ThreadPoolExecutor(cores - 1, thread_name_prefix="kvnlab-shear")
-            _pool = (executor, cores)
-        return _pool
 
 
 @dataclass(frozen=True)
@@ -353,67 +303,9 @@ def _compile(f, axis, ndim, check_wrap, real=False):
     return np.exp(-1j * f.tau * arg), edges
 
 
-def _together(size, tasks):
-    """Run every callable of ``tasks``; on work of at least _PARALLEL_MIN
-    elements (2**16: a 256^2 state, a 16^4 pair) the pool takes the rest
-    while the calling thread runs the first.
-
-    The pool is the shear engine's, with one thread per usable core but
-    one.  When its own task is done the calling thread cancels each pool
-    task that has not started and runs it itself, so a pool thread slow to
-    wake (an idle vCPU the host is slow to run again) costs at most the
-    serial time; it waits only for tasks already running.  If a task on
-    the calling thread raises, the pool tasks not yet started are dropped,
-    the running ones waited for, and the error propagates, as does an error
-    raised on a pool thread.  With one usable core, or below the threshold,
-    the calling thread runs them all in order.
-
-    On a loaded 2-vCPU KVM guest the caller ran 10-72 of 600 pool slabs
-    per evolve_2d pass, and passes were faster in 10 of 15 paired rounds.
-    """
-    executor = _executor()[0] if size >= _PARALLEL_MIN and len(tasks) > 1 else None
-    if executor is None:
-        for task in tasks:
-            task()
-        return
-    futures = [executor.submit(task) for task in tasks[1:]]
-    try:
-        tasks[0]()
-        for task, fut in zip(tasks[1:], futures):
-            if fut.cancel():
-                task()
-    finally:
-        for fut in futures:
-            if not fut.cancel():
-                fut.result()
-
-
-def _split(arr, axes, block):
-    """Run ``block(idx)`` on slabs ``arr[idx]`` that together cover ``arr``.
-
-    An array large enough for the pool (see _together) is cut along its
-    first axis not in ``axes`` into one slab per usable core, and the slabs
-    run together.  Every 1-D line along ``axes`` lies whole in one slab, so
-    transforms along them are bit-identical to the serial ones.
-    """
-    free = [i for i in range(arr.ndim) if i not in axes]
-    cores = _executor()[1] if arr.size >= _PARALLEL_MIN and free else 1
-    cut = free[0] if free else 0
-    n = arr.shape[cut]
-    parts = min(cores, n)
-    edges = [n * i // parts for i in range(parts + 1)]
-    _together(arr.size, [partial(block, (slice(None),) * cut + (slice(lo, hi),))
-                         for lo, hi in zip(edges, edges[1:])])
-
-
-def _cut(phase, idx):
-    """The part of ``phase`` that multiplies the slab ``idx`` of _split."""
-    return phase[idx] if phase.shape[len(idx) - 1] > 1 else phase
-
-
 def _pass(src, dst, axis, phases, seen=None):
     """dst = ifft(fft(src) * phases[0] * ...) along ``axis``, in one pass over
-    the slabs of _split; ``dst`` may be ``src``.  With ``seen``, the inverse
+    the slabs of split; ``dst`` may be ``src``.  With ``seen``, the inverse
     transform after the first of two phases is also written there.  A float64
     ``src`` runs on the half spectrum, each phase followed by zeroing the
     imaginary part irfft drops at the Nyquist bin, so a pair equals two single
@@ -429,13 +321,13 @@ def _pass(src, dst, axis, phases, seen=None):
         for k, phase in enumerate(phases):
             if k:
                 inverse(spec, n, axis, out=seen[idx])
-            spec *= _cut(phase, idx)
+            spec *= cut(phase, idx)
             if real:
                 lost[idx] += spec[top].imag ** 2
                 spec[top].imag = 0.0
         inverse(spec, n, axis, out=out)
 
-    _split(src, (axis,), block)
+    split(src, (axis,), block)
     return float(lost.sum()) / n if real else 0.0
 
 
@@ -583,7 +475,7 @@ def _form(s, parts, block, checked_phase):
     target along p, the device along X for the pointer coupling), the outer
     product of the two spectra is formed once and multiplied by every
     factor's phase, and one inverse transform per block axis, run on the
-    slabs of _split, returns it to coordinates.
+    slabs of split, returns it to coordinates.
 
     No block factor moves an axis another one's guard reads, so each guard
     sees the product density, whose marginal on a factor's deps() is the
@@ -610,11 +502,11 @@ def _form(s, parts, block, checked_phase):
     def inverse(idx):
         out = amp[idx]
         for phase in phases:
-            out *= _cut(phase, idx)
+            out *= cut(phase, idx)
         for axis in block_axes:
             np.fft.ifft(out, axis=axis, out=out)
 
-    _split(amp, block_axes, inverse)
+    split(amp, block_axes, inverse)
     return amp
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._slabs import split
 from .errors import (
     NonHermitianObservable,
     OutOfBounds,
@@ -114,23 +115,23 @@ class Grid2D:
 # ---------------------------------------------------------------------------
 
 
-def _axis_phase(axis_obj, shape, axis):
-    freqs = axis_obj.conj_coords()
-    ph = np.exp(-1j * freqs * axis_obj.vmin) * math.sqrt(axis_obj.d / axis_obj.d_conj)
-    view = [1] * len(shape)
-    view[axis] = axis_obj.n
-    return ph.reshape(view)
+def _transform(amp, ax, axis, forward):
+    """Transform ``amp`` in place along ``axis``: to ``ax``'s conjugate if ``forward``, else back."""
+    phase = np.exp(-1j * ax.conj_coords() * ax.vmin) * math.sqrt(ax.d / ax.d_conj)
+    phase = phase.reshape([ax.n if i == axis else 1 for i in range(amp.ndim)])
 
+    def block(idx):
+        out = amp[idx]
+        if forward:
+            np.fft.fft(out, axis=axis, out=out)
+            out /= math.sqrt(ax.n)
+            out *= phase
+        else:
+            np.divide(out, phase, out=out)
+            np.fft.ifft(out, axis=axis, out=out)
+            out *= math.sqrt(ax.n)
 
-def _to_conjugate(amp, axis_obj, axis):
-    out = np.fft.fft(amp, axis=axis) / math.sqrt(axis_obj.n)
-    out *= _axis_phase(axis_obj, amp.shape, axis)
-    return out
-
-
-def _to_coordinate(amp, axis_obj, axis):
-    out = amp / _axis_phase(axis_obj, amp.shape, axis)
-    return np.fft.ifft(out, axis=axis) * math.sqrt(axis_obj.n)
+    split(amp, (axis,), block)
 
 
 class _Field:
@@ -182,11 +183,10 @@ class _Field:
         flags = tuple(bool(f) for f in flags)
         if flags == self._conj:
             return self
-        amp = self.amp
+        amp = self.amp.copy()
         for i, (cur, want) in enumerate(zip(self._conj, flags)):
-            if cur == want:
-                continue
-            amp = (_to_conjugate if want else _to_coordinate)(amp, self._axes[i], i)
+            if cur != want:
+                _transform(amp, self._axes[i], i, want)
         return self._clone(flags, amp)
 
     def norm(self):
@@ -348,17 +348,13 @@ def to_representation(s: PhaseState, rep: str) -> PhaseState:
 
 def inner(a: _Field, b: _Field) -> complex:
     """Measure-weighted inner product <a|b> in a's representation."""
-    if a.conj_flags != b.conj_flags:
-        b = b.with_conj(a.conj_flags)
+    b = b.with_conj(a.conj_flags)
     return complex(np.vdot(a.amp, b.amp) * a.cell_measure())
 
 
 def l2_distance(a: _Field, b: _Field) -> float:
-    if a.conj_flags != b.conj_flags:
-        b = b.with_conj(a.conj_flags)
-    return math.sqrt(
-        float(np.sum(np.abs(a.amp - b.amp) ** 2)) * a.cell_measure()
-    )
+    b = b.with_conj(a.conj_flags)
+    return math.sqrt(float(np.sum(np.abs(a.amp - b.amp) ** 2)) * a.cell_measure())
 
 
 def boundary_mass(s: _Field) -> float:

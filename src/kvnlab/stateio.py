@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dynamics
+from ._slabs import together
 from .phasespace import BipartiteState, Density, Grid2D, PhaseState, _FLAGS_REP
 
 _MAGIC = b"KVNSTATE"
@@ -29,10 +29,10 @@ def save_state(state, path):
     """Serialize a PhaseState or BipartiteState to the binary container.
 
     Returns the sha256 hex digest of the bytes written.  The amplitude is
-    written and hashed as two tasks of dynamics._together: on a state large
-    enough for the shear engine's pool (a 256^2 state, a 16^4 pair and up)
-    a pool thread hashes it while this one writes it, as both release the
-    GIL, and this one hashes it if the pool has not started by then.
+    written and hashed as two tasks of _slabs.together: on a state large
+    enough for its pool (a 256^2 state, a 16^4 pair and up) a pool thread
+    hashes it while this one writes it, as both release the GIL, and this
+    one hashes it if the pool has not started by then.
     """
     axes = state.axes()
     header = b"".join([
@@ -46,7 +46,7 @@ def save_state(state, path):
     digest = hashlib.sha256(header)
     with open(path, "wb") as fh:
         fh.write(header)
-        dynamics._together(data.size, [partial(fh.write, data), partial(digest.update, data)])
+        together(data.size, [partial(fh.write, data), partial(digest.update, data)])
     return digest.hexdigest()
 
 

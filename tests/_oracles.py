@@ -5,6 +5,7 @@ from the FFT split-operator code paths, so agreement is evidence and not
 tautology.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -119,15 +120,37 @@ def closed_form_couple(target, device):
     return out.with_conj((False, False, False, False))
 
 
+def _axis_phase(axis_obj, shape, axis):
+    freqs = axis_obj.conj_coords()
+    ph = np.exp(-1j * freqs * axis_obj.vmin) * math.sqrt(axis_obj.d / axis_obj.d_conj)
+    view = [1] * len(shape)
+    view[axis] = axis_obj.n
+    return ph.reshape(view)
+
+
+def to_conjugate(amp, axis_obj, axis):
+    """A fresh ``amp`` unitarily transformed to the conjugate of ``axis``:
+    the out-of-place reference of the in-place phasespace transform, with
+    the same operations in the same order."""
+    out = np.fft.fft(amp, axis=axis) / math.sqrt(axis_obj.n)
+    out *= _axis_phase(axis_obj, amp.shape, axis)
+    return out
+
+
+def to_coordinate(amp, axis_obj, axis):
+    """The inverse of to_conjugate, out of place."""
+    out = amp / _axis_phase(axis_obj, amp.shape, axis)
+    return np.fft.ifft(out, axis=axis) * math.sqrt(axis_obj.n)
+
+
 def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitting="strang"):
     """Uncoupled 4D evolution one split step at a time.
 
-    Every factor goes to its own representation and back with the unitary
-    transforms of phasespace, and its phase is rebuilt every step; nothing
-    is fused.  Returns the amplitude in the all-coordinate representation.
+    Every factor goes to its own representation and back with the
+    out-of-place transforms above, and its phase is rebuilt every step;
+    nothing is fused.  Returns the amplitude in the all-coordinate
+    representation.
     """
-    from kvnlab.phasespace import _to_conjugate, _to_coordinate
-
     work = state4.with_conj((False,) * 4)
     tg, dg = work.target_grid, work.device_grid
     n = max(1, round(duration / dt))
@@ -144,10 +167,10 @@ def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitt
         for grid, h, ax0, ax1 in subsys:
             if h is None or (h.potential[1] == 0.0 and h.potential[2] == 0.0):
                 continue
-            amp = _to_conjugate(amp, grid.p_axis, ax1)
+            amp = to_conjugate(amp, grid.p_axis, ax1)
             amp *= np.exp(1j * dt * frac * h.v_prime(along(grid.x(), ax0))
                           * along(grid.pi_p(), ax1))
-            amp = _to_coordinate(amp, grid.p_axis, ax1)
+            amp = to_coordinate(amp, grid.p_axis, ax1)
         return amp
 
     def apply_t(amp):
@@ -157,9 +180,9 @@ def free_evolve_bipartite_steps(state4, h_target, h_device, duration, dt, splitt
             tc = h.kinetic_coeffs()
             if tc[1] == 0.0 and tc[2] == 0.0:
                 continue
-            amp = _to_conjugate(amp, grid.x_axis, ax0)
+            amp = to_conjugate(amp, grid.x_axis, ax0)
             amp *= np.exp(-1j * dt * h.t_prime(along(grid.p(), ax1)) * along(grid.pi_x(), ax0))
-            amp = _to_coordinate(amp, grid.x_axis, ax0)
+            amp = to_coordinate(amp, grid.x_axis, ax0)
         return amp
 
     amp = np.array(work.amp)
@@ -318,7 +341,7 @@ def quantum_probe_loop(phi, eta, axis, mass_floor):
 
 class CountingPool(ThreadPoolExecutor):
     """A thread pool that counts the work handed to it, to stand in for the
-    shear engine's pool (``dynamics._pool``)."""
+    slab pool (``_slabs._pool``) of every large-array transform."""
 
     def __init__(self, workers):
         super().__init__(workers)

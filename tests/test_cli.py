@@ -226,6 +226,27 @@ def test_malformed_value_named(tmp_path, capsys, scenario, cfg, message):
     path = write_config(tmp_path, cfg)
     assert cli.main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    # the output directory the run made is removed again
+    assert not (tmp_path / "out").exists()
+
+
+# a negative seed cannot seed the ensemble's generator, from the config or
+# from --seed; without an ensemble the seed is only hashed, and it runs
+@pytest.mark.parametrize("cfg, argv, code", [
+    (dict(UNCERTAINTY_CFG, seed=-1), [], 2),
+    (UNCERTAINTY_CFG, ["--seed", "-1"], 2),
+    ({k: v for k, v in UNCERTAINTY_CFG.items() if k != "ensemble"}, ["--seed", "-1"], 0),
+], ids=["config-seed", "seed-flag", "no-ensemble"])
+def test_negative_seed_is_a_config_error_only_with_an_ensemble(tmp_path, capsys, cfg, argv, code):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["uncertainty", "--config", str(path), "--out", str(out), *argv]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "config error: seed: must be >= 0 to draw an ensemble, got -1\n"
+        assert not out.exists()
+    else:
+        assert json.loads((out / "uncertainty.json").read_text())["rows"] == 2
 
 
 def test_missing_section_named(tmp_path):

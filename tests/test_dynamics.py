@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvnlab import _slabs
 from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
@@ -497,7 +498,7 @@ def test_threaded_factor_is_bit_identical_to_serial(monkeypatch, shape, axis, co
     steps = [factors, factors[:1]]
 
     def run(pool):
-        monkeypatch.setattr(dyn, "_pool", pool)
+        monkeypatch.setattr(_slabs, "_pool", pool)
         seen = []
         out = dyn._propagate(s, steps, lambda i, a: (a.setflags(write=False), seen.append(a)),
                              check_wrap=False)
@@ -524,9 +525,9 @@ def test_split_runs_every_slab_once(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with CountingPool(7) as pool:
-            monkeypatch.setattr(dyn, "_pool", (pool, 8))
+            monkeypatch.setattr(_slabs, "_pool", (pool, 8))
             for _ in range(50):
-                dyn._split(arr, (1,), block)
+                _slabs.split(arr, (1,), block)
     finally:
         sys.setswitchinterval(interval)
     assert (arr == 50).all()
@@ -547,9 +548,9 @@ def test_split_does_not_wait_for_a_busy_pool(monkeypatch):
 
     with CountingPool(1) as pool:
         busy = pool.submit(release.wait, 10.0)
-        monkeypatch.setattr(dyn, "_pool", (pool, 2))
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
         try:
-            dyn._split(arr, (0,), block)
+            _slabs.split(arr, (0,), block)
             assert not busy.done()
         finally:
             release.set()
@@ -573,17 +574,17 @@ def test_together_drops_unstarted_tasks_when_the_caller_fails(monkeypatch):
 
     with CountingPool(1) as pool:
         busy = pool.submit(release.wait, 10.0)
-        monkeypatch.setattr(dyn, "_pool", (pool, 2))
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
         try:
             with pytest.raises(RuntimeError, match="caller task failed"):
-                dyn._together(dyn._PARALLEL_MIN, [fail, on_pool])
+                _slabs.together(_slabs.PARALLEL_MIN, [fail, on_pool])
             assert not busy.done()
         finally:
             release.set()
         assert busy.result() is True
         assert ran_on == []
         # the caller's task waits until the pool has run the other one
-        dyn._together(dyn._PARALLEL_MIN, [lambda: done.wait(10.0), on_pool])
+        _slabs.together(_slabs.PARALLEL_MIN, [lambda: done.wait(10.0), on_pool])
     assert done.is_set() and len(ran_on) == 1 and ran_on[0] != threading.get_ident()
     assert pool.submitted == 3
 
@@ -598,7 +599,7 @@ def test_observed_256_flight_is_bit_identical_to_serial(monkeypatch):
     h = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
 
     def run(pool):
-        monkeypatch.setattr(dyn, "_pool", pool)
+        monkeypatch.setattr(_slabs, "_pool", pool)
         seen = []
         out = dyn.kvn_evolve(s, h, dyn.PropagationPlan(0.05, 20),
                              observer=lambda i, st: seen.append(st.amp.tobytes()))
@@ -630,7 +631,7 @@ def _step_loop(s, steps):
     return seen, None
 
 
-# passes: the _split passes of 20 observed steps
+# passes: the split passes of 20 observed steps
 @pytest.mark.parametrize("n, h, splitting, hbar, passes", [
     (64, dyn.HamiltonianSpec.harmonic(1.0, 1.0), "strang", 0.0, 2 * 20 + 1),
     (256, dyn.HamiltonianSpec.harmonic(1.0, 1.0), "strang", 0.0, 2 * 20 + 1),
@@ -647,15 +648,15 @@ def test_observed_flight_matches_step_loop(monkeypatch, n, h, splitting, hbar, p
     plan = dyn.PropagationPlan(0.05, 20, splitting, hbar)
     a, b = dyn.DEFORM_CONVENTIONS["full_appendixE"] if hbar else (-1.0, 1.0)
     step = dyn._split_step(dyn._generators(g.axes(), ((0, h),), hbar, a, b), plan.dt, splitting)
-    split = dyn._split
+    split = dyn.split
     # the real Gaussian takes the real path unless a factor is deformed;
     # times e^{0.3i} it takes the complex path
     for phase in (1.0, np.exp(0.3j)):
         s = ps.PhaseState(grid, "xp", g.amp * phase)
         splits, seen = [], []
-        monkeypatch.setattr(dyn, "_split", lambda *args: (splits.append(1), split(*args)))
+        monkeypatch.setattr(dyn, "split", lambda *args: (splits.append(1), split(*args)))
         out = dyn.qm_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
-        monkeypatch.setattr(dyn, "_split", split)
+        monkeypatch.setattr(dyn, "split", split)
         assert len(splits) == passes
         if phase == 1.0 and not hbar:
             ref = projected_step_loop(s, [step] * plan.n_steps)
@@ -714,7 +715,7 @@ def test_real_flight_keeps_to_the_nyquist_budget(monkeypatch):
     plan = dyn.PropagationPlan(0.05, 40)
 
     def run(pool):
-        monkeypatch.setattr(dyn, "_pool", pool)
+        monkeypatch.setattr(_slabs, "_pool", pool)
         seen = []
         out = dyn.kvn_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
         return seen + [out.amp]
@@ -846,7 +847,7 @@ def test_formed_pulsed_program_is_bit_identical_to_serial(monkeypatch, cores):
     free = dyn.HamiltonianSpec.free(1.0)
 
     def run(pool):
-        monkeypatch.setattr(dyn, "_pool", pool)
+        monkeypatch.setattr(_slabs, "_pool", pool)
         out = dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.5, 0.4, 1.0,
                                     dyn.PropagationPlan(0.05, 20))
         return out.amp.tobytes()
@@ -1004,17 +1005,23 @@ def test_pulsed_program_raises_each_factors_error():
 _FORK_SCRIPT = """
 import os, signal, sys, time
 import numpy as np
-from kvnlab import dynamics as dyn, phasespace as ps
+from kvnlab import _slabs, dynamics as dyn, phasespace as ps
 
 grid = ps.Grid2D(32, 32, -8.0, 8.0, -4.0, 4.0)
 s = ps.product_state(ps.make_gaussian(grid, -1.0, 0.5, 1.0, 0.5),
                      ps.make_gaussian(grid, 0.0, 0.0, 1.0, 0.5))
 free = dyn.HamiltonianSpec.free(1.0)
 plan = dyn.PropagationPlan(0.05, 1)
-ref = dyn.free_evolve_bipartite(s, free, free, 0.5, plan)
+# the pulse forms the 32^4 amplitude on the slabs, which starts the pool
+ref = dyn.pulsed_propagator(s, free, free, 0.5, 0.4, 1.0, plan)
+if _slabs._pool is None:
+    sys.exit("the parent did not start the pool")
 pid = os.fork()
 if pid == 0:
-    out = dyn.free_evolve_bipartite(s, free, free, 0.5, plan)
+    # the child inherits the executor but none of its threads: it starts anew
+    if _slabs._pool is not None:
+        os._exit(4)
+    out = dyn.pulsed_propagator(s, free, free, 0.5, 0.4, 1.0, plan)
     os._exit(0 if np.array_equal(out.amp, ref.amp) else 3)
 deadline = time.monotonic() + 30.0
 while time.monotonic() < deadline:

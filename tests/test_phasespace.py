@@ -1,6 +1,10 @@
 import hashlib
 import math
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from kvnlab.errors import (
 )
 from kvnlab.stateio import export_density_csv, load_state, save_state, write_csv, write_json
 
-from _oracles import CountingPool, save_state_interleaved
+from _oracles import CountingPool, save_state_interleaved, to_conjugate, to_coordinate
 
 
 @pytest.fixture
@@ -110,6 +114,77 @@ def test_bipartite_representation_unitarity():
         v = s.with_conj(flags)
         assert abs(v.norm() - 1.0) < 1e-10
         assert ps.l2_distance(s, v.with_conj((False,) * 4)) < 1e-10
+
+
+def _random_field(shape, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if len(shape) == 2:
+        return ps.PhaseState(ps.Grid2D(*shape, -16.0, 16.0, -8.0, 8.0), "xp", amp)
+    g = ps.Grid2D(32, 32, -4.0, 4.0, -3.0, 5.0)
+    return ps.BipartiteState(g, g, (False,) * 4, amp)
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (32,) * 4], ids=["256^2", "32^4"])
+def test_with_conj_is_bit_identical_to_serial_and_out_of_place(monkeypatch, shape):
+    # both reach the slab threshold: each change of representation runs in
+    # place on one slab per core, and along every axis, there and back, it
+    # gives the bytes of the serial run and of out-of-place transforms
+    from kvnlab import _slabs
+
+    s = _random_field(shape, len(shape))
+    nd = len(shape)
+
+    def run(pool):
+        monkeypatch.setattr(_slabs, "_pool", pool)
+        out = []
+        for i in range(nd):
+            there = s.with_conj(tuple(j == i for j in range(nd)))
+            out += [there.amp.tobytes(), there.with_conj(s.conj_flags).amp.tobytes()]
+        return out + [s.with_conj((True,) * nd).amp.tobytes()]
+
+    serial = run((None, 1))
+    with CountingPool(1) as pool:
+        assert run((pool, 2)) == serial
+    assert pool.submitted > 0
+    every = s.amp
+    for i, ax in enumerate(s.axes()):
+        there = to_conjugate(s.amp, ax, i)
+        assert serial[2 * i] == there.tobytes()
+        assert serial[2 * i + 1] == to_coordinate(there, ax, i).tobytes()
+        every = to_conjugate(every, ax, i)
+    assert serial[-1] == every.tobytes()
+
+
+def test_with_conj_makes_one_array():
+    # a change of two axes of a 32^4 state writes into one copy of the
+    # amplitude; out-of-place transforms held two at once
+    s = _random_field((32,) * 4, 21)
+    tracemalloc.start()
+    try:
+        s.with_conj((False, False, True, True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * s.amp.nbytes
+
+
+def test_stateio_does_not_import_dynamics():
+    # the I/O layer sits on phasespace and _slabs, not on the propagators;
+    # the package's __init__, which imports every layer, is left out
+    script = """
+import sys, types
+pkg = types.ModuleType("kvnlab")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["kvnlab"] = pkg
+import kvnlab.stateio
+print(" ".join(sorted(m for m in sys.modules if m.startswith("kvnlab."))))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(Path(ps.__file__).parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "kvnlab.stateio" in loaded and "kvnlab.dynamics" not in loaded
 
 
 def test_fourier_width_reciprocal(grid):
@@ -271,7 +346,7 @@ def test_save_state_digest_of_large_state(tmp_path, monkeypatch, cores):
     # a 32^4 pair and a 256^2 state reach the shear engine's parallel
     # threshold: with a pool, a pool thread hashes the amplitude while the
     # calling thread writes it
-    from kvnlab import dynamics as dyn
+    from kvnlab import _slabs
 
     rng = np.random.default_rng(16)
     g = ps.Grid2D(32, 32, -4.0, 4.0, -4.0, 4.0)
@@ -281,9 +356,9 @@ def test_save_state_digest_of_large_state(tmp_path, monkeypatch, cores):
               ps.PhaseState(ps.Grid2D(256, 256, -16.0, 16.0, -8.0, 8.0), "x_pip", flat))
     path = tmp_path / "big.state"
     with CountingPool(1) as pool:
-        monkeypatch.setattr(dyn, "_pool", (pool, 2) if cores == 2 else (None, 1))
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2) if cores == 2 else (None, 1))
         for s in states:
-            assert s.amp.size >= dyn._PARALLEL_MIN
+            assert s.amp.size >= _slabs.PARALLEL_MIN
             assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
     assert pool.submitted == (2 if cores == 2 else 0)
 
@@ -293,7 +368,7 @@ def test_save_state_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
     # the thread is busy with another task) runs on the calling thread
     import threading
 
-    from kvnlab import dynamics as dyn
+    from kvnlab import _slabs
 
     release = threading.Event()
     rng = np.random.default_rng(17)
@@ -302,7 +377,7 @@ def test_save_state_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
     path = tmp_path / "big.state"
     with CountingPool(1) as pool:
         busy = pool.submit(release.wait, 10.0)
-        monkeypatch.setattr(dyn, "_pool", (pool, 2))
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
         try:
             assert save_state(s, path) == hashlib.sha256(path.read_bytes()).hexdigest()
             assert not busy.done()
