@@ -482,7 +482,7 @@ def run(config, out_dir, seed=None):
         seed = config_seed
 
     out = Path(out_dir)
-    made = not out.exists()
+    made = next(i for i, p in enumerate((out, *out.parents)) if p.exists())  # levels mkdir makes
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         scenario=scenario,
@@ -494,8 +494,8 @@ def run(config, out_dir, seed=None):
     try:
         runner(config, out, seed, manifest)
     except ConfigError:
-        if made:  # every config error comes before the runner writes a file
-            out.rmdir()
+        for p in (out, *out.parents)[:made]:  # no file is written before a config error
+            p.rmdir()
         raise
     except KvnLabError as exc:
         manifest.status = f"failed: {exc}"

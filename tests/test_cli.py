@@ -224,10 +224,11 @@ NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
         "mass-inf", "eps-nan", "eps-inf"])
 def test_malformed_value_named(tmp_path, capsys, scenario, cfg, message):
     path = write_config(tmp_path, cfg)
-    assert cli.main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "runs" / "out"
+    assert cli.main([scenario, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    # the output directory the run made is removed again
-    assert not (tmp_path / "out").exists()
+    # the directories the run made for its output are removed again
+    assert not (tmp_path / "runs").exists()
 
 
 # a negative seed cannot seed the ensemble's generator, from the config or
