@@ -2,8 +2,9 @@
 
 One JSON config describes one experiment; nothing about the physics is
 defaulted (grid, masses and widths must be explicit).  Every run writes a
-manifest with the config hash and a checksum for each emitted file, so a
-rerun with the same config and seed reproduces the outputs bit for bit.
+manifest with the config hash and the sha256 of the bytes of each file it
+wrote, even a failed run; a rerun with the same config and seed reproduces
+the outputs bit for bit.
 
     kvn-lab <scenario> --config experiment.json [--out DIR] [--seed N]
 
@@ -190,11 +191,9 @@ class RunManifest:
     out_dir: str = ""
     files: list = field(default_factory=list)
 
-    def record(self, path: Path, digest=None):
-        """Add ``path`` with its sha256; ``digest`` is that of the bytes just
-        written to it (save_state returns one), else the file is read back."""
-        if digest is None:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    def record(self, path: Path, digest: str):
+        """Add ``path`` with ``digest``, the sha256 its writer returned for the
+        bytes it wrote; every run file is recorded as it is written."""
         self.files.append({"name": path.name, "sha256": digest})
 
     def write(self, out_dir: Path):
@@ -254,25 +253,20 @@ def _scenario_evolve(cfg, out, seed, manifest):
         _fail("snapshot_every", "must be >= 0")
 
     rows = []
-    snapshots = []
 
     def observer(step, snap):
         ((x_mean, sigma_x), (p_mean, sigma_p)), norm = _moments(snap, ("x", "p"))
         rows.append((step + 1, (step + 1) * plan.dt, x_mean, p_mean, sigma_x, sigma_p, norm))
         if snapshot_every and (step + 1) % snapshot_every == 0:
-            path = out / f"state_{step + 1:06d}.state"
-            snapshots.append((path, save_state(snap, path)))
+            manifest.record(path := out / f"state_{step + 1:06d}.state", save_state(snap, path))
 
     final = dyn.kvn_evolve(state, h, plan, observer=observer)
     boundary = ps.boundary_mass(final)
     if boundary > 1e-6:
         print(f"warning: boundary mass {boundary:.3e} exceeds 1e-6", file=sys.stderr)
-    write_csv(out / "trajectory.csv",
-              ("step", "t", "x_mean", "p_mean", "sigma_x", "sigma_p", "norm"), rows)
-    manifest.record(out / "trajectory.csv")
-    manifest.record(out / "final.state", save_state(final, out / "final.state"))
-    for path, digest in snapshots:
-        manifest.record(path, digest)
+    manifest.record(path := out / "trajectory.csv", write_csv(
+        path, ("step", "t", "x_mean", "p_mean", "sigma_x", "sigma_p", "norm"), rows))
+    manifest.record(path := out / "final.state", save_state(final, path))
 
 
 def _scenario_qm_compare(cfg, out, seed, manifest):
@@ -289,8 +283,7 @@ def _scenario_qm_compare(cfg, out, seed, manifest):
         state, h, plan.dt * plan.n_steps, hbars,
         n_steps=plan.n_steps, convention=convention,
     )
-    write_csv(out / "scan.csv", ("hbar", "l2_deviation"), scan)
-    manifest.record(out / "scan.csv")
+    manifest.record(path := out / "scan.csv", write_csv(path, ("hbar", "l2_deviation"), scan))
 
 
 def _scenario_measure(cfg, out, seed, manifest):
@@ -298,17 +291,14 @@ def _scenario_measure(cfg, out, seed, manifest):
     axis = _value(cfg, "", "readout_axis", str, "X")
     if axis not in ms.READOUT_AXES:
         _fail("readout_axis", f"invalid readout axis {axis!r}")
+    _built("grid", ms._origin_index, grid.x_axis)  # the pointer kernels need a cell at x = 0
 
     after = ms.von_neumann_couple(target, device)
     record = ms.readout(after, axis)
-    record.to_csv(out / "readout.csv")
-    manifest.record(out / "readout.csv")
-    record.to_json(
-        out / "readout.json",
-        target_grid=repr(grid), device_grid=repr(grid), coupling_duration=1.0,
-    )
-    manifest.record(out / "readout.json")
-    manifest.record(out / "coupled.state", save_state(after, out / "coupled.state"))
+    manifest.record(path := out / "readout.csv", record.to_csv(path))
+    manifest.record(path := out / "readout.json", record.to_json(
+        path, target_grid=repr(grid), device_grid=repr(grid), coupling_duration=1.0))
+    manifest.record(path := out / "coupled.state", save_state(after, path))
 
     r1, r2 = ms.check_simultaneity(after, target, device)
     classical_inst = ms.pointer_instantiated_residual(after, target)
@@ -323,8 +313,7 @@ def _scenario_measure(cfg, out, seed, manifest):
         "quantum_prop1_residual": q1,
         "quantum_instantiated_residual": q2,
     }
-    write_json(out / "simultaneity.json", payload)
-    manifest.record(out / "simultaneity.json")
+    manifest.record(path := out / "simultaneity.json", write_json(path, payload))
 
 
 def _quantum_profile(state_cfg, axis):
@@ -339,6 +328,7 @@ def _scenario_kraus(cfg, out, seed, manifest):
     label_rep = _value(cfg, "", "label_rep", str, "X_P")
     if label_rep not in ms.LABEL_REPS:
         _fail("label_rep", f"unknown label representation {label_rep!r}")
+    _built("grid", ms._origin_index, grid.x_axis)
 
     family = ms.kraus_build(device, label_rep, grid)
     probs = family.joint_probabilities(target)
@@ -347,9 +337,8 @@ def _scenario_kraus(cfg, out, seed, manifest):
     l1 = float(np.abs(probs - joint.array * joint.cell_measure()).sum())
 
     va, vb = np.meshgrid(*family.label_values, indexing="ij")
-    write_csv(out / "labels.csv", (*family.label_axes, "probability"),
-              zip(va.ravel(), vb.ravel(), probs.ravel()))
-    manifest.record(out / "labels.csv")
+    manifest.record(path := out / "labels.csv", write_csv(
+        path, (*family.label_axes, "probability"), zip(va.ravel(), vb.ravel(), probs.ravel())))
 
     payload = {
         "label_rep": label_rep,
@@ -357,8 +346,7 @@ def _scenario_kraus(cfg, out, seed, manifest):
         "readout_l1": l1,
         "printed_kernel_discrepancy": ms.printed_kernel_discrepancy(device, target),
     }
-    write_json(out / "kraus.json", payload)
-    manifest.record(out / "kraus.json")
+    manifest.record(path := out / "kraus.json", write_json(path, payload))
 
 
 def _scenario_uncertainty(cfg, out, seed, manifest):
@@ -371,6 +359,8 @@ def _scenario_uncertainty(cfg, out, seed, manifest):
         _fail("ensemble.members", "must be >= 0")
     if members and seed < 0:
         _fail("seed", f"must be >= 0 to draw an ensemble, got {seed}")
+    if not (t_values or members):
+        _fail("t_values", "must not be empty without an ensemble")
 
     reports = [un.error_disturbance(target, device, t) for t in t_values]
     if members:
@@ -378,16 +368,14 @@ def _scenario_uncertainty(cfg, out, seed, manifest):
         for tgt, dev in _gaussian_ensemble(grid, members, rng):
             reports.append(un.error_disturbance(tgt, dev, t_ens))
 
-    un.reports_to_csv(reports, out / "uncertainty.csv")
-    manifest.record(out / "uncertainty.csv")
+    manifest.record(path := out / "uncertainty.csv", un.reports_to_csv(reports, path))
     worst = min(un.check_ozawa_like(r) for r in reports)
     payload = {
         "min_ozawa_slack": worst,
         "max_abs_comm_ND": max(abs(r.comm_ND) for r in reports),
         "rows": len(reports),
     }
-    write_json(out / "uncertainty.json", payload)
-    manifest.record(out / "uncertainty.json")
+    manifest.record(path := out / "uncertainty.json", write_json(path, payload))
 
 
 def _gaussian_ensemble(grid, members, rng):
@@ -411,8 +399,7 @@ def _scenario_algebra_verify(cfg, out, seed, manifest):
         {"name": r.name, "pass": r.passed, "residual_term_count": r.residual_term_count}
         for r in results
     ]
-    write_json(out / "algebra.json", records)
-    manifest.record(out / "algebra.json")
+    manifest.record(path := out / "algebra.json", write_json(path, records))
     for rec in records:
         print(json.dumps(rec, sort_keys=True))
     if not all(r.passed for r in results):
@@ -432,7 +419,7 @@ def _scenario_pulsed(cfg, out, seed, manifest):
 
     initial = ps.product_state(target, device)
     final = dyn.pulsed_propagator(initial, h_t, h_d, eps, t1, t_total, plan)
-    manifest.record(out / "final.state", save_state(final, out / "final.state"))
+    manifest.record(path := out / "final.state", save_state(final, path))
     ((pointer_mean, _), (target_x_mean, _)), norm = _moments(final, ("X", "x"))
     payload = {
         "pointer_mean": pointer_mean,
@@ -442,8 +429,7 @@ def _scenario_pulsed(cfg, out, seed, manifest):
         "t1": t1,
         "t_total": t_total,
     }
-    write_json(out / "pulsed.json", payload)
-    manifest.record(out / "pulsed.json")
+    manifest.record(path := out / "pulsed.json", write_json(path, payload))
 
 
 _FLIGHT = ("grid", "hamiltonian", "initial_state", "plan")
@@ -524,7 +510,8 @@ PLOT_KINDS = tuple(_PLOTS)
 
 
 def emit_plot_data(manifest: RunManifest, kind: str) -> Path:
-    """Write a two-or-three-column CSV ready for gnuplot or a spreadsheet."""
+    """Write a two-or-three-column CSV ready for gnuplot or a spreadsheet,
+    and record it in ``manifest``."""
     if kind not in _PLOTS:
         raise ValueError(f"unknown plot kind {kind!r}")
     source, columns, rows_of = _PLOTS[kind]
@@ -532,8 +519,8 @@ def emit_plot_data(manifest: RunManifest, kind: str) -> Path:
     src = out / source
     if not src.exists():
         raise MissingArtifact(f"{src} not produced by this run")
-    path = out / f"plot_{kind}.csv"
-    write_csv(path, columns, rows_of(_read_csv(src)))
+    manifest.record(path := out / f"plot_{kind}.csv",
+                    write_csv(path, columns, rows_of(_read_csv(src))))
     return path
 
 
@@ -585,7 +572,6 @@ def main(argv=None):
         manifest = run(config, out_dir, seed=args.seed)
         if args.plot:
             emit_plot_data(manifest, args.plot)
-            manifest.record(Path(manifest.out_dir) / f"plot_{args.plot}.csv")
             manifest.write(Path(manifest.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -73,14 +73,14 @@ class MeasurementRecord:
             raise ValueError(f"probabilities must be a distribution (sum={total})")
 
     def to_csv(self, path):
-        write_csv(path, ("value", "probability"), zip(self.values, self.probabilities))
+        return write_csv(path, ("value", "probability"), zip(self.values, self.probabilities))
 
     def to_json(self, path, **metadata):
         payload = dict(metadata)
         payload["readout_axis"] = self.readout_axis
         payload["values"] = [float(v) for v in self.values]
         payload["probabilities"] = [float(p) for p in self.probabilities]
-        write_json(path, payload)
+        return write_json(path, payload)
 
 
 def _require_matched(a: Axis, b: Axis, what):
@@ -224,7 +224,7 @@ LABEL_REPS = ("X_P", "X_piP", "piX_P", "piX_piP")
 class KrausOperator:
     """One member of the device-integrated family, bound to a label cell.
 
-    ``apply`` maps a target amplitude (in the family's working
+    ``apply_raw`` maps a target amplitude (in the family's working
     representation) to the unnormalized conditional amplitude.
     """
 
@@ -237,10 +237,6 @@ class KrausOperator:
 
     def apply_raw(self, amp):
         return self.family._apply(amp, *self.indices)
-
-    def apply(self, phi: PhaseState) -> PhaseState:
-        work = phi.with_conj(self.family.work_flags)
-        return work._clone(self.family.work_flags, self.apply_raw(work.amp))
 
 
 class KrausFamily:

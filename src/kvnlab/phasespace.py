@@ -178,6 +178,21 @@ class _Field:
             return self.conj_names.index(name), True
         raise ValueError(f"unknown axis {name!r} for {type(self).__name__}")
 
+    def current_names(self):
+        """The name of each axis in its current representation, e.g. ("x", "pi_p")."""
+        return tuple(c if f else n for n, c, f in zip(self.axis_names, self.conj_names, self._conj))
+
+    def diagonal(self, names):
+        """This field with each axis in ``names`` diagonal and the others unchanged.
+        An unknown name raises ValueError; an axis named with its own conjugate
+        raises NonHermitianObservable, as no representation makes both diagonal."""
+        named = {}
+        for name in names:
+            idx, conj = self.axis_index(name)
+            if named.setdefault(idx, conj) != conj:
+                raise NonHermitianObservable(f"{name} mixes an axis with its own conjugate")
+        return self.with_conj(named.get(i, f) for i, f in enumerate(self._conj))
+
     def with_conj(self, flags):
         """Transform to the representation given by per-axis conjugate flags."""
         flags = tuple(bool(f) for f in flags)
@@ -275,7 +290,7 @@ class BipartiteState(_Field):
         return BipartiteState(self.target_grid, self.device_grid, conj, amp)
 
     def rep_name(self):
-        return ",".join(_names(self))
+        return ",".join(self.current_names())
 
     def __repr__(self):
         return f"BipartiteState(rep=({self.rep_name()}))"
@@ -359,7 +374,7 @@ def l2_distance(a: _Field, b: _Field) -> float:
 
 def boundary_mass(s: _Field) -> float:
     """Probability mass in the outermost cell shell (coordinate representation)."""
-    coord = s.with_conj((False,) * len(s.conj_flags))
+    coord = s.diagonal(s.axis_names)
     dens = coord.density()
     inner_slc = tuple(slice(1, -1) for _ in range(dens.ndim))
     total = float(dens.sum())
@@ -386,11 +401,6 @@ class Observable:
             return spec
         if isinstance(spec, str):
             return Observable(tuple(_parse_poly(spec)))
-        if isinstance(spec, (list, tuple)):
-            terms = []
-            for coeff, powers in spec:
-                terms.append((float(coeff), tuple(sorted(powers.items()))))
-            return Observable(tuple(terms))
         raise TypeError(f"cannot interpret observable spec {spec!r}")
 
 
@@ -429,33 +439,18 @@ def _parse_poly(text):
 def expectation(s: _Field, obs) -> float:
     """Expectation of a polynomial observable, degree <= 2 per monomial.
 
-    Each monomial is evaluated in the representation where all of its
-    factors are diagonal; mixing an axis with its own conjugate has no such
-    representation and raises NonHermitianObservable.  A monomial above
-    degree 2 raises UnsupportedObservable.
+    Each monomial is evaluated on ``s.diagonal`` of its factors, which raises
+    NonHermitianObservable for an axis times its own conjugate.  A monomial
+    above degree 2 raises UnsupportedObservable.
     """
     obs = Observable.parse(obs)
     total = 0.0
-    cache = {s.conj_flags: s}
     for coeff, powers in obs.terms:
         if sum(e for _, e in powers) > 2:
             raise UnsupportedObservable(
                 "only polynomials up to total degree 2 are supported"
             )
-        flags = list(s.conj_flags)
-        used = {}
-        for name, _ in powers:
-            idx, conj = s.axis_index(name)
-            if idx in used and used[idx] != conj:
-                raise NonHermitianObservable(
-                    f"{name} mixes an axis with its own conjugate"
-                )
-            used[idx] = conj
-            flags[idx] = conj
-        flags = tuple(flags)
-        if flags not in cache:
-            cache[flags] = s.with_conj(flags)
-        view = cache[flags]
+        view = s.diagonal(name for name, _ in powers)
         dens = view.density()
         weight = np.ones((), dtype=float)
         for name, e in powers:
@@ -556,35 +551,24 @@ class Density:
         )
 
 
-def _names(s: _Field, chosen=()):
-    """One name per axis of ``s``: the one listed in ``chosen`` (its
-    coordinate or its conjugate name), otherwise the name of the axis's
-    current representation."""
-    return tuple(
-        n if n in chosen else c if c in chosen or f else n
-        for n, c, f in zip(s.axis_names, s.conj_names, s.conj_flags)
+def _density(view: _Field) -> Density:
+    """The density of ``view`` over its axes as they are now."""
+    names = view.current_names()
+    return Density(
+        names,
+        tuple(view.axis_values(i) for i in range(len(names))),
+        tuple(view.axis_measure(i) for i in range(len(names))),
+        view.density(),
     )
 
 
 def joint_density(s: _Field, axis_names=None) -> Density:
-    """Full density in the representation where the named axes are diagonal."""
-    if axis_names is None:
-        axis_names = _names(s)
-    flags = list(s.conj_flags)
-    order = {}
-    for name in axis_names:
-        idx, conj = s.axis_index(name)
-        flags[idx] = conj
-        order[idx] = name
-    if sorted(order) != list(range(len(s.axis_names))):
+    """Full density in the representation where the named axes are diagonal
+    (by default the current one); ``axis_names`` names every axis exactly once."""
+    view = s.diagonal(axis_names or ())
+    if axis_names is not None and sorted(axis_names) != sorted(view.current_names()):
         raise ValueError("axis_names must name every axis exactly once")
-    view = s.with_conj(tuple(flags))
-    return Density(
-        tuple(order[i] for i in range(len(order))),
-        tuple(view.axis_values(i) for i in range(len(order))),
-        tuple(view.axis_measure(i) for i in range(len(order))),
-        view.density(),
-    )
+    return _density(view)
 
 
 def marginal(s: _Field, axes) -> Density:
@@ -593,9 +577,9 @@ def marginal(s: _Field, axes) -> Density:
     Conjugate-axis names transform the state first, e.g. axes=("pi_x",).
     """
     axes = (axes,) if isinstance(axes, str) else tuple(axes)
-    return joint_density(s, _names(s, axes)).marginalize(axes)
+    return _density(s.diagonal(axes)).marginalize(axes)
 
 
 def conditional(s: _Field, axis: str, value) -> Density:
     """Density over the remaining axes given the nearest cell of ``axis``."""
-    return joint_density(s, _names(s, (axis,))).condition(axis, value)
+    return _density(s.diagonal((axis,))).condition(axis, value)

@@ -1,4 +1,5 @@
 """Flat binary container for states, plus the CSV and JSON writers of every run.
+Each writer returns the sha256 hex digest of the bytes it wrote.
 
 Layout: magic ``KVNSTATE``, version, endianness marker, axis count, one
 conjugate flag per axis, then per axis (n, vmin, vmax), then the amplitude
@@ -14,6 +15,7 @@ import math
 import os
 import struct
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -99,24 +101,36 @@ def _csv_field(v):
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
+def _write(path, chunks):
+    """Write each str of ``chunks`` to ``path`` and hash it as it goes;
+    returns the sha256 hex digest of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
+
+
 def write_csv(path, header, rows):
     """Write a header line and one line per row: floats (numpy float64
-    included) as .17g, bools as 0/1, anything else as str."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_csv_field, row)) + "\n")
+    included) as .17g, bools as 0/1, anything else as str.  Rows are joined
+    and hashed 4096 at a time; returns the sha256 hex digest of the bytes."""
+    lines = (",".join(map(_csv_field, row)) + "\n" for row in rows)
+    chunks = iter(lambda: "".join(islice(lines, 4096)), "")
+    return _write(path, chain([",".join(header) + "\n"], chunks))
 
 
 def write_json(path, obj):
     """Write ``obj`` as JSON with one-space indents and sorted keys, and no
-    trailing newline: the format of every JSON file a run writes."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+    trailing newline: the format of every JSON file a run writes.  Returns
+    the sha256 hex digest of the bytes written."""
+    return _write(path, json.JSONEncoder(indent=1, sort_keys=True).iterencode(obj))
 
 
 def export_density_csv(density: Density, path):
     """Write a density as spreadsheet-ready CSV: value columns then density."""
     grids = np.meshgrid(*density.values, indexing="ij") if density.values else []
     flat = [g.ravel() for g in grids] + [density.array.ravel()]
-    write_csv(path, list(density.axis_names) + ["density"], zip(*flat))
+    return write_csv(path, list(density.axis_names) + ["density"], zip(*flat))

@@ -144,8 +144,8 @@ class EDReport:
 
 
 def reports_to_csv(reports, path):
-    write_csv(path, EDReport.CSV_FIELDS,
-              ([getattr(r, name) for name in EDReport.CSV_FIELDS] for r in reports))
+    return write_csv(path, EDReport.CSV_FIELDS,
+                     ([getattr(r, name) for name in EDReport.CSV_FIELDS] for r in reports))
 
 
 def error_disturbance(target: PhaseState, device: PhaseState, t) -> EDReport:

@@ -51,6 +51,25 @@ def test_run_evolve_snapshot_stream(tmp_path):
     assert abs(snap.norm() - 1.0) < 1e-9
 
 
+def test_failed_evolve_manifest_lists_every_snapshot(tmp_path):
+    # the flight wraps more than the guard allows after its first snapshots;
+    # each snapshot is recorded when it is written, so the failed run's
+    # manifest lists every state file left in the directory
+    cfg = dict(EVOLVE_CFG, scenario="evolve", snapshot_every=5,
+               initial_state=dict(EVOLVE_CFG["initial_state"], p0=2.0),
+               plan={"dt": 0.1, "n_steps": 60})
+    out = tmp_path / "fail"
+    with pytest.raises(ScenarioError, match="wraps"):
+        cli.run(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"].startswith("failed")
+    written = sorted(p.name for p in out.glob("state_*.state"))
+    assert written and "final.state" not in written
+    assert [f["name"] for f in manifest["files"]] == written
+    for f in manifest["files"]:
+        assert f["sha256"] == hashlib.sha256((out / f["name"]).read_bytes()).hexdigest()
+
+
 def _rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -194,6 +213,9 @@ def test_unknown_keys_rejected(tmp_path):
 QM_CFG = dict(EVOLVE_CFG, hbars=[0.0, 0.1])
 UNCERTAINTY_CFG = dict(POINTER_CFG, t_values=[0.5, 1.0], ensemble={"members": 2})
 NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
+# an x lattice with no cell at 0, which the pointer kernels need
+OFF_ZERO_GRID = dict(POINTER_CFG["grid"], x_min=-10.3, x_max=9.7)
+ORIGIN_MESSAGE = "grid: axis must contain 0 for pointer-difference kernels"
 
 
 # a list entry that is no finite number, a non-finite number or a negative
@@ -219,9 +241,13 @@ NAN, INF = float("nan"), float("inf")  # json writes them as NaN and Infinity
      "hamiltonian.mass: expected finite float"),
     ("pulsed", dict(PULSED_CFG, eps=NAN), "eps: expected finite float"),
     ("pulsed", dict(PULSED_CFG, eps=INF), "eps: expected finite float"),
+    ("measure", dict(POINTER_CFG, grid=OFF_ZERO_GRID), ORIGIN_MESSAGE),
+    ("kraus", dict(POINTER_CFG, grid=OFF_ZERO_GRID), ORIGIN_MESSAGE),
+    ("uncertainty", dict(POINTER_CFG, t_values=[]), "t_values: must not be empty without an ensemble"),
 ], ids=["hbars-str", "hbars-null", "hbars-negative", "hbars-inf", "hbars-true", "t_values-str",
         "t_values-nan", "members-negative", "kinetic-str", "potential-str", "potential-nan",
-        "mass-inf", "eps-nan", "eps-inf"])
+        "mass-inf", "eps-nan", "eps-inf", "measure-off-zero", "kraus-off-zero",
+        "t_values-empty"])
 def test_malformed_value_named(tmp_path, capsys, scenario, cfg, message):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "runs" / "out"
@@ -248,6 +274,12 @@ def test_negative_seed_is_a_config_error_only_with_an_ensemble(tmp_path, capsys,
         assert not out.exists()
     else:
         assert json.loads((out / "uncertainty.json").read_text())["rows"] == 2
+
+
+def test_empty_t_values_runs_with_an_ensemble(tmp_path):
+    manifest = cli.run(dict(UNCERTAINTY_CFG, scenario="uncertainty", t_values=[]), tmp_path / "out")
+    assert manifest.status == "ok"
+    assert json.loads((tmp_path / "out" / "uncertainty.json").read_text())["rows"] == 2
 
 
 def test_missing_section_named(tmp_path):

@@ -254,6 +254,23 @@ def test_marginal_invariant_under_other_axis_transform(grid):
     assert np.abs(direct - via).max() < 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_marginal_rejects_mixed_and_unknown_axes(grid, dim):
+    # one rule picks the representation of every density: an axis named with
+    # its own conjugate has none, and an unknown name is a ValueError
+    s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
+    if dim == 4:
+        s = ps.product_state(s, s)
+    with pytest.raises(NonHermitianObservable, match="pi_x mixes an axis with its own conjugate"):
+        ps.marginal(s, ("x", "pi_x"))
+    with pytest.raises(NonHermitianObservable):
+        ps.joint_density(s, s.axis_names + ("pi_p",))
+    with pytest.raises(ValueError, match="unknown axis 'q'"):
+        ps.marginal(s, ("q",))
+    with pytest.raises(ValueError, match="every axis exactly once"):
+        ps.joint_density(s, s.axis_names[:-1])
+
+
 def test_product_state_marginals_factorize(grid):
     a = ps.make_gaussian(grid, 0.5, 0.0, 1.0, 1.0)
     b = ps.make_gaussian(grid, -0.5, 1.0, 0.8, 0.9)
@@ -440,18 +457,33 @@ def test_write_csv_exact_bytes(tmp_path):
     # every table goes through write_csv: floats as .17g (numpy float64
     # too), bools as 0/1, anything else as str
     path = tmp_path / "t.csv"
-    write_csv(path, ("n", "f", "g", "b"), [(3, 0.1, np.float64(-1.0) / 3, True),
-                                         (np.int64(-7), 2.5e-300, np.float64(1.0), np.bool_(False))])
+    digest = write_csv(path, ("n", "f", "g", "b"),
+                       [(3, 0.1, np.float64(-1.0) / 3, True),
+                        (np.int64(-7), 2.5e-300, np.float64(1.0), np.bool_(False))])
     assert path.read_bytes() == (b"n,f,g,b\n3,0.10000000000000001,-0.33333333333333331,1\n"
                                  b"-7,2.5e-300,1,0\n")
+    # the writer returns the digest of the bytes it wrote
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_write_json_exact_bytes(tmp_path):
     # every JSON file of a run goes through write_json: one-space indents,
     # keys sorted at every level, floats as repr, no trailing newline
     path = tmp_path / "t.json"
-    write_json(path, {"z": [1, 0.1, True, None], "a": {"y": False, "b": -2.5e-300},
-                      "m": [{"k": 1.0, "c": []}, "s"]})
+    digest = write_json(path, {"z": [1, 0.1, True, None], "a": {"y": False, "b": -2.5e-300},
+                               "m": [{"k": 1.0, "c": []}, "s"]})
     assert path.read_bytes() == (b'{\n "a": {\n  "b": -2.5e-300,\n  "y": false\n },\n'
                                  b' "m": [\n  {\n   "c": [],\n   "k": 1.0\n  },\n  "s"\n ],\n'
                                  b' "z": [\n  1,\n  0.1,\n  true,\n  null\n ]\n}')
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_write_csv_digest_across_chunks(tmp_path):
+    # rows go out in chunks of 4096 lines, hashed as they are written; the
+    # bytes are those of one line per row, however the rows are cut
+    path = tmp_path / "long.csv"
+    rows = [(i, i / 7.0) for i in range(10000)]
+    digest = write_csv(path, ("i", "v"), iter(rows))
+    expected = "i,v\n" + "".join(f"{i},{v:.17g}\n" for i, v in rows)
+    assert path.read_bytes() == expected.encode()
+    assert digest == hashlib.sha256(expected.encode()).hexdigest()
