@@ -274,6 +274,8 @@ def _scenario_qm_compare(cfg, out, seed, manifest):
     h = _hamiltonian(cfg, "hamiltonian")
     state = _state(cfg, "initial_state", grid)
     hbars = _value(cfg, "", "hbars", [float])
+    if not hbars:
+        _fail("hbars", "must not be empty")
     for i, hbar in enumerate(hbars):
         if hbar < 0:
             _fail(f"hbars[{i}]", "must be >= 0")

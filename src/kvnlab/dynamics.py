@@ -17,9 +17,9 @@ multiplied by cos(k_N*shift), a contraction, and each pass gives the real
 part of the complex one.  A flight counts the squared norm this drops; a
 pass that would take it past 1e-12 is discarded, and from its input that
 factor and every later one run on the complex path, unitary to machine
-precision.  4D amplitudes stay complex: the product path forms them from
-complex spectra, and a real materialized state would part from it by up to
-1.9e-6, where the tests hold the two to 1e-13.
+precision.  4D amplitudes stay complex (see phasespace.product_state): a
+real materialized state would part from the product path by up to 1.9e-6,
+where the tests hold the two to 1e-13.
 
 Where no observer needs the state in between, factors on the same axis
 with the same generator fuse: a V = 0 flight of n steps is one shear per
@@ -397,14 +397,13 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
     if after_step is None and getattr(coord, "factors", None) is not None:
         parts, rest = _local_head(coord, steps[0], shear)
         if not rest:
-            t, d = coord.factors
-            return product_state(PhaseState(t.grid, "xp", parts[0]),
-                                 PhaseState(d.grid, "xp", parts[1]))
+            return product_state(*(PhaseState(f.grid, "xp", a) for f, a in zip(coord.factors, parts)))
         block = _diagonal_head(rest)
         amp, steps = _form(coord, parts, block, checked_phase), [rest[len(block):]]
     else:
-        entry = coord.amp
-        amp = entry.real.copy() if real else entry
+        entry = amp = coord.amp
+        if factors and real != (amp.dtype == np.float64):  # an entry of the other path's dtype
+            amp = amp.real.copy() if real else amp.astype(np.complex128)
     weight = coord.cell_measure()
     merged = False  # the first factor of this step ran in the last step's pass
     for i, step in enumerate(steps):
@@ -589,10 +588,11 @@ def kvn_evolve(s, h, plan, observer=None, check_stability=True):
     is called after every step with the xp state; without one, adjacent
     factors fuse across steps, and with one, a step's trailing half kick
     and the next step's leading one share a pass.  A real state runs in
-    real arithmetic and stays real; it drops at most 1e-12 of its squared
-    norm at the Nyquist bins, and the flight goes on complex from the pass
-    that would drop more.  Raises UnstablePlan when a shear would wrap more
-    than 1e-6 of the probability around the periodic box.
+    real arithmetic and stays real: the states observed and returned hold
+    the engine's float64 arrays, frozen.  It drops at most 1e-12 of its
+    squared norm at the Nyquist bins, and the flight goes on complex from
+    the pass that would drop more.  Raises UnstablePlan when a shear would
+    wrap more than 1e-6 of the probability around the periodic box.
     """
     if plan.hbar != 0.0:
         raise ValueError("kvn_evolve requires a plan with hbar=0")

@@ -1,8 +1,11 @@
 """Discretized phase-space states and the four Fourier representations.
 
-A state is a complex amplitude field over a periodic (x, p) lattice; each
-axis can be traded for its conjugate axis by a unitary DFT, giving the four
-representations xp, (x, pi_p), (pi_x, p) and (pi_x, pi_p).  Transforms use
+A state is an amplitude field over a periodic (x, p) lattice; each axis can
+be traded for its conjugate axis by a unitary DFT, giving the four
+representations xp, (x, pi_p), (pi_x, p) and (pi_x, pi_p).  Amplitudes are
+complex128, except that a PhaseState in the xp representation keeps a
+float64 amplitude as it is given: the classical flow keeps a real state
+real, and the propagators hand it on without a complex copy.  Transforms use
 the symmetric 1/sqrt(N) convention with the continuum measure folded in, so
 the measure-weighted 2-norm is preserved exactly in every representation.
 Conjugate axes live on the reciprocal lattice 2*pi*fftfreq(n, d) of the
@@ -135,15 +138,24 @@ def _transform(amp, ax, axis, forward):
 
 
 class _Field:
-    """Shared machinery for 2-axis and 4-axis amplitude fields."""
+    """Shared machinery for 2-axis and 4-axis amplitude fields.
+
+    The amplitude is frozen and C-contiguous.  It is complex128, or float64
+    where the class keeps real amplitudes (``real_coords``) and every axis
+    is a coordinate; any other input is cast to complex128.  An input array
+    that needs no cast or copy is kept, and frozen.
+    """
 
     axis_names = ()
     conj_names = ()
+    real_coords = False
 
     def __init__(self, axes, conj, amp):
         self._axes = tuple(axes)
         self._conj = tuple(bool(c) for c in conj)
-        amp = np.ascontiguousarray(amp, dtype=np.complex128)
+        amp = np.asarray(amp)
+        real = self.real_coords and amp.dtype == np.float64 and not any(self._conj)
+        amp = np.ascontiguousarray(amp, dtype=np.float64 if real else np.complex128)
         sizes = tuple(ax.n for ax in self._axes)
         if amp.shape != sizes:
             raise ValueError(f"amplitude of shape {amp.shape} on axes of sizes {sizes}")
@@ -194,18 +206,19 @@ class _Field:
         return self.with_conj(named.get(i, f) for i, f in enumerate(self._conj))
 
     def with_conj(self, flags):
-        """Transform to the representation given by per-axis conjugate flags."""
+        """Transform to the representation given by per-axis conjugate flags;
+        a float64 amplitude is promoted to complex128 in the one copy made."""
         flags = tuple(bool(f) for f in flags)
         if flags == self._conj:
             return self
-        amp = self.amp.copy()
+        amp = self.amp.astype(np.complex128)
         for i, (cur, want) in enumerate(zip(self._conj, flags)):
             if cur != want:
                 _transform(amp, self._axes[i], i, want)
         return self._clone(flags, amp)
 
     def norm(self):
-        return math.sqrt(float(np.sum(np.abs(self.amp) ** 2)) * self.cell_measure())
+        return math.sqrt(float(np.sum(self.density())) * self.cell_measure())
 
     def normalized(self):
         n = self.norm()
@@ -214,17 +227,24 @@ class _Field:
         return self._clone(self._conj, self.amp / n)
 
     def density(self):
-        return np.abs(self.amp) ** 2
+        """|amp|^2; of a float64 amplitude, amp * amp, which has the same bits."""
+        a = self.amp
+        return a * a if a.dtype == np.float64 else np.abs(a) ** 2
 
     def _clone(self, conj, amp):
         raise NotImplementedError
 
 
 class PhaseState(_Field):
-    """Complex amplitude over a 2D phase-space grid with a representation tag."""
+    """Amplitude over a 2D phase-space grid with a representation tag.
+
+    In the xp representation a float64 amplitude stays float64; in every
+    other one the amplitude is complex128.
+    """
 
     axis_names = ("x", "p")
     conj_names = ("pi_x", "pi_p")
+    real_coords = True
 
     def __init__(self, grid: Grid2D, rep: str, amp):
         if rep not in _REP_FLAGS:
@@ -244,11 +264,11 @@ class PhaseState(_Field):
 
 
 class BipartiteState(_Field):
-    """Amplitude over the 4D (x, p, X, P) lattice of a target-device pair.
+    """Complex amplitude over the 4D (x, p, X, P) lattice of a target-device pair.
 
     A state made by product_state keeps its target and device factors,
-    all-coordinate PhaseStates, in ``factors`` and forms ``amp`` from them
-    on first read; any other state has ``factors = None``.
+    all-coordinate complex128 PhaseStates, in ``factors`` and forms ``amp``
+    from them on first read; any other state has ``factors = None``.
     """
 
     axis_names = ("x", "p", "X", "P")
@@ -304,12 +324,14 @@ def _outer(target_amp, device_amp):
 def product_state(target: PhaseState, device: PhaseState) -> BipartiteState:
     """Tensor product target (x) device, in the all-coordinate representation.
 
-    The state keeps both factors.  Its 4D amplitude is formed, and frozen
-    like every amplitude, the first time something reads it; until the
-    coupling, the propagators move the factors instead.
+    The state keeps both factors, as complex128 amplitudes: a float64 one
+    is promoted.  Its 4D amplitude is formed, and frozen like every
+    amplitude, the first time something reads it; until the coupling, the
+    propagators move the factors instead.
     """
-    return BipartiteState._product(to_representation(target, "xp"),
-                                   to_representation(device, "xp"))
+    return BipartiteState._product(*(
+        PhaseState(f.grid, "xp", f.amp.astype(np.complex128, copy=False))
+        for f in (to_representation(target, "xp"), to_representation(device, "xp"))))
 
 
 # ---------------------------------------------------------------------------

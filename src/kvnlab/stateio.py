@@ -30,11 +30,14 @@ _ENDIAN_MARK = 0x01020304
 def save_state(state, path):
     """Serialize a PhaseState or BipartiteState to the binary container.
 
-    Returns the sha256 hex digest of the bytes written.  The amplitude is
-    written and hashed as two tasks of _slabs.together: on a state large
-    enough for its pool (a 256^2 state, a 16^4 pair and up) a pool thread
-    hashes it while this one writes it, as both release the GIL, and this
-    one hashes it if the pool has not started by then.
+    The amplitude is always written as little-endian complex128 (``<c16``):
+    a float64 xp amplitude is cast, with +0.0 imaginary parts, so its file
+    and digest are those of its complex128 cast.  Returns the sha256 hex
+    digest of the bytes written.  The amplitude is written and hashed as two
+    tasks of _slabs.together: on a state large enough for its pool (a 256^2
+    state, a 16^4 pair and up) a pool thread hashes it while this one writes
+    it, as both release the GIL, and this one hashes it if the pool has not
+    started by then.
     """
     axes = state.axes()
     header = b"".join([

@@ -218,14 +218,15 @@ OFF_ZERO_GRID = dict(POINTER_CFG["grid"], x_min=-10.3, x_max=9.7)
 ORIGIN_MESSAGE = "grid: axis must contain 0 for pointer-difference kernels"
 
 
-# a list entry that is no finite number, a non-finite number or a negative
-# count exits 2, and stderr names the field
+# a list entry that is no finite number, a non-finite number, a negative
+# count or an empty list exits 2, and stderr names the field
 @pytest.mark.parametrize("scenario, cfg, message", [
     ("qm_compare", dict(QM_CFG, hbars=["a"]), "hbars[0]: expected finite float"),
     ("qm_compare", dict(QM_CFG, hbars=[0.0, None]), "hbars[1]: expected finite float"),
     ("qm_compare", dict(QM_CFG, hbars=[-0.1]), "hbars[0]: must be >= 0"),
     ("qm_compare", dict(QM_CFG, hbars=[INF]), "hbars[0]: expected finite float"),
     ("qm_compare", dict(QM_CFG, hbars=[0.0, True]), "hbars[1]: expected finite float"),
+    ("qm_compare", dict(QM_CFG, hbars=[]), "hbars: must not be empty"),
     ("uncertainty", dict(UNCERTAINTY_CFG, t_values=["x"]), "t_values[0]: expected finite float"),
     ("uncertainty", dict(UNCERTAINTY_CFG, t_values=[0.5, NAN]),
      "t_values[1]: expected finite float"),
@@ -244,9 +245,9 @@ ORIGIN_MESSAGE = "grid: axis must contain 0 for pointer-difference kernels"
     ("measure", dict(POINTER_CFG, grid=OFF_ZERO_GRID), ORIGIN_MESSAGE),
     ("kraus", dict(POINTER_CFG, grid=OFF_ZERO_GRID), ORIGIN_MESSAGE),
     ("uncertainty", dict(POINTER_CFG, t_values=[]), "t_values: must not be empty without an ensemble"),
-], ids=["hbars-str", "hbars-null", "hbars-negative", "hbars-inf", "hbars-true", "t_values-str",
-        "t_values-nan", "members-negative", "kinetic-str", "potential-str", "potential-nan",
-        "mass-inf", "eps-nan", "eps-inf", "measure-off-zero", "kraus-off-zero",
+], ids=["hbars-str", "hbars-null", "hbars-negative", "hbars-inf", "hbars-true", "hbars-empty",
+        "t_values-str", "t_values-nan", "members-negative", "kinetic-str", "potential-str",
+        "potential-nan", "mass-inf", "eps-nan", "eps-inf", "measure-off-zero", "kraus-off-zero",
         "t_values-empty"])
 def test_malformed_value_named(tmp_path, capsys, scenario, cfg, message):
     path = write_config(tmp_path, cfg)

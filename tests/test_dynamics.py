@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -737,6 +738,73 @@ def test_real_flight_keeps_to_the_nyquist_budget(monkeypatch):
     unbounded = run((None, 1))[-1]
     assert not unbounded.imag.any()
     assert 1.0 - np.sum(np.abs(unbounded) ** 2) * s.cell_measure() == pytest.approx(3.1e-10, rel=0.05)
+
+
+def test_observers_get_the_engines_frozen_arrays(monkeypatch):
+    # the flight above: each observed state holds an array a pass wrote, with
+    # no copy, frozen; float64 while the flight is real, complex128 from the
+    # step whose pass crossed the budget, on the pool's slabs and serially
+    grid = ps.Grid2D(256, 256, -16.0, 16.0, -8.0, 8.0)
+    s = ps.make_gaussian(grid, -4.0, 0.0, 0.25, 0.125)
+    h = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
+    real_pass = dyn._pass
+
+    def run(pool):
+        monkeypatch.setattr(_slabs, "_pool", pool)
+        written, seen = [], []
+
+        def spy(src, dst, axis, phases, between=None):
+            written.extend((dst, between))
+            return real_pass(src, dst, axis, phases, between)
+
+        monkeypatch.setattr(dyn, "_pass", spy)
+        dyn.kvn_evolve(s, h, dyn.PropagationPlan(0.05, 40), observer=lambda i, st: seen.append(st))
+        monkeypatch.setattr(dyn, "_pass", real_pass)
+        for st in seen:
+            assert any(st.amp is w for w in written)
+            with pytest.raises(ValueError, match="read-only"):
+                st.amp[0, 0] = 0.0
+        return [(st.amp.dtype, hashlib.sha256(st.amp).hexdigest()) for st in seen]
+
+    serial = run((None, 1))
+    with CountingPool(1) as pool:
+        threaded = run((pool, 2))
+    assert pool.submitted > 0 and threaded == serial
+    switch = next(i for i, (dtype, _) in enumerate(serial) if dtype == np.complex128)
+    assert 20 <= switch < 25
+    assert all(dtype == np.float64 for dtype, _ in serial[:switch])
+    assert all(dtype == np.complex128 for dtype, _ in serial[switch:])
+
+
+def test_float_state_propagates_as_its_complex_cast():
+    # a real flight returns a float64 xp state.  Every propagator gives it
+    # the bytes of its complex128 cast: the real path takes it as it is, and
+    # a deformed flight and a product state promote it, so the product's
+    # factors and its 4D amplitude are complex128
+    grid = ps.Grid2D(32, 32, -8.0, 8.0, -4.0, 4.0)
+    h = dyn.HamiltonianSpec.harmonic(1.0, 1.0)
+    free = dyn.HamiltonianSpec.free(1.0)
+    plan = dyn.PropagationPlan(0.05, 4)
+    real = dyn.kvn_evolve(ps.make_gaussian(grid, -1.0, 0.5, 1.0, 0.5), free, plan)
+    cast = ps.PhaseState(grid, "xp", real.amp.astype(np.complex128))
+    device = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 0.5)
+    assert real.amp.dtype == np.float64
+    runs = {
+        "real": lambda t: dyn.kvn_evolve(t, free, plan, observer=lambda i, st: None),
+        "deformed": lambda t: dyn.qm_evolve(t, h, dyn.PropagationPlan(0.05, 4, hbar=0.1)),
+        "pulsed": lambda t: dyn.pulsed_propagator(ps.product_state(t, device), free, free,
+                                                  0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 20)),
+        "free pair": lambda t: dyn.free_evolve_bipartite(ps.product_state(t, device), free, free,
+                                                         0.5, plan),
+    }
+    dtypes = {"real": np.float64, "deformed": np.complex128, "pulsed": np.complex128,
+              "free pair": np.complex128}
+    for name, run in runs.items():
+        a, b = run(real), run(cast)
+        assert a.amp.dtype == dtypes[name], name
+        assert a.amp.tobytes() == b.amp.tobytes(), name
+        for f in getattr(a, "factors", None) or ():
+            assert f.amp.dtype == np.complex128
 
 
 def test_observed_flight_raises_where_the_step_loop_stops():

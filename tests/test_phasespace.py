@@ -403,6 +403,48 @@ def test_save_state_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
     assert pool.submitted == 2
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (256, 256), (32,) * 4], ids=["64^2", "256^2", "32^4"])
+def test_float_amplitude_transforms_as_its_complex_cast(shape):
+    # a float64 xp amplitude gives the same bytes as its complex128 cast only
+    # because numpy's pocketfft and squared modulus do; this is not documented,
+    # so it is checked here.  fft and ifft of a float64 array equal those of
+    # its complex128 cast, bit for bit.  rfft takes no complex input, so its
+    # check is on the cast's real part, a strided float64 view: the real
+    # path's half spectrum depends on the values alone, not on where they lie
+    rng = np.random.default_rng(len(shape))
+    a = rng.standard_normal(shape)
+    z = a.astype(np.complex128)
+    for axis in range(len(shape)):
+        assert np.fft.fft(a, axis=axis).tobytes() == np.fft.fft(z, axis=axis).tobytes()
+        assert np.fft.ifft(a, axis=axis).tobytes() == np.fft.ifft(z, axis=axis).tobytes()
+        assert np.fft.rfft(a, axis=axis).tobytes() == np.fft.rfft(z.real, axis=axis).tobytes()
+    assert (a * a).tobytes() == (np.abs(z) ** 2).tobytes()
+
+
+def test_only_an_xp_phase_state_keeps_a_float_amplitude(tmp_path):
+    # a float64 xp amplitude is kept, frozen and without a copy; any other
+    # field casts it to complex128, and so do with_conj and product_state
+    g = ps.Grid2D(16, 16, -8.0, 8.0, -8.0, 8.0)
+    a = np.random.default_rng(5).standard_normal((16, 16))
+    s = ps.PhaseState(g, "xp", a)
+    assert s.amp is a and not a.flags.writeable
+    assert s.density().dtype == np.float64
+    assert ps.PhaseState(g, "pix_p", a).amp.dtype == np.complex128
+    assert ps.PhaseState(g, "xp", a.astype(np.float32)).amp.dtype == np.complex128
+    assert ps.BipartiteState(g, g, (False,) * 4, np.ones((16,) * 4)).amp.dtype == np.complex128
+    c = ps.PhaseState(g, "xp", a.astype(np.complex128))
+    for rep in ps.REPRESENTATIONS[1:]:
+        assert ps.to_representation(s, rep).amp.tobytes() == ps.to_representation(c, rep).amp.tobytes()
+    assert s.density().tobytes() == c.density().tobytes() and s.norm() == c.norm()
+    assert save_state(s, tmp_path / "f.state") == save_state(c, tmp_path / "c.state")
+    assert (tmp_path / "f.state").read_bytes() == (tmp_path / "c.state").read_bytes()
+    assert load_state(tmp_path / "f.state").amp.dtype == np.complex128
+    pair = ps.product_state(s, s)
+    assert all(f.amp.dtype == np.complex128 for f in pair.factors)
+    assert pair.amp.dtype == np.complex128
+    assert pair.amp.tobytes() == ps.product_state(c, c).amp.tobytes()
+
+
 def test_field_rejects_amplitude_of_wrong_shape():
     # such a state would save a file that load_state rejects for its size
     g = ps.Grid2D(8, 8, -4.0, 4.0, -4.0, 4.0)
