@@ -2,7 +2,7 @@
 
 Modules:
     algebra      exact symbolic commutator engine over the canonical
-                 generators, with the operator-identity catalog
+                 generators, the observable reader and the identity catalog
     phasespace   grids, amplitude fields, the four Fourier representations,
                  expectations, marginals, conditionals
     stateio      binary state container and CSV density export
@@ -67,7 +67,6 @@ from .measurement import (
 from .phasespace import (
     BipartiteState,
     Grid2D,
-    Observable,
     PhaseState,
     conditional,
     expectation,
@@ -80,7 +79,6 @@ from .phasespace import (
 from .stateio import export_density_csv, load_state, save_state
 from .uncertainty import (
     EDReport,
-    check_ozawa_like,
     check_trivial,
     error_disturbance,
     kennard_robertson,

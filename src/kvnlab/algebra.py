@@ -10,15 +10,17 @@ everything else commutes.  Expressions are stored as normal-ordered
 polynomials (each coordinate to the left of its conjugate) with exact
 Gaussian-rational coefficients; ``hbar`` and ``t`` are formal commuting
 scalars carried as extra exponent slots.  Every operation here is exact --
-no floating point enters any identity check.
+no floating point enters any identity check.  ``parse`` is the one reader
+of observables, such as "2*x^2 - x*pi_p", for phasespace and uncertainty.
 """
 
 from __future__ import annotations
 
+import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import comb
+from math import comb, isinf
 
 from .errors import IllegalHamiltonian, NonTerminatingSeries
 
@@ -30,8 +32,6 @@ _SLOT = {name: k for k, name in enumerate(_NAMES)}
 
 # (coordinate slot, conjugate slot) for each canonical pair
 _PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7), (8, 9))
-_CONJ_OF = {c: q for q, c in _PAIRS}
-_COORD_OF = {q: c for q, c in _PAIRS}
 
 _ZERO_KEY = (0,) * _NSLOTS
 
@@ -188,11 +188,7 @@ class OperatorExpr:
         parts = []
         for key in sorted(self.terms, reverse=True):
             re, im = self.terms[key]
-            factors = [
-                _NAMES[s] if e == 1 else f"{_NAMES[s]}^{e}"
-                for s, e in enumerate(key)
-                if e
-            ]
+            factors = [n if e == 1 else f"{n}^{e}" for n, e in monomial_factors(key)]
             coeff = _fmt_coeff(re, im, bool(factors))
             body = "*".join(factors)
             if coeff in ("", "-"):
@@ -216,6 +212,11 @@ def _fmt_coeff(re, im, has_factors):
             return "-i"
         return f"{im}*i"
     return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def monomial_factors(key):
+    """The (name, power) factors of a monomial's exponent key, in slot order."""
+    return tuple((_NAMES[s], e) for s, e in enumerate(key) if e)
 
 
 def _coerce(value):
@@ -316,6 +317,41 @@ def power(a: OperatorExpr, n: int) -> OperatorExpr:
     return out
 
 
+# a sign starts a term unless it is the sign of a number's exponent, as in 1e-3
+_TERM_SIGN = _re.compile(r"(?<![\d.][eE])([+-])")
+_FACTOR = _re.compile(r"([A-Za-z_]+)(?:\^(\d+))?|((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+
+
+def parse(spec) -> OperatorExpr:
+    """An observable as an OperatorExpr; one is returned unchanged.
+
+    Text such as "2*x^2 - x*pi_p" is a sum of terms, each a product of
+    factors multiplied in the order they are written.  A factor is a
+    generator or formal scalar, raised to an integer power by ``^`` or
+    ``**``, or a number, which may carry an exponent (``1e-3``) and becomes
+    the exact Fraction of the float it reads as.
+    """
+    if isinstance(spec, OperatorExpr):
+        return spec
+    if not isinstance(spec, str):
+        raise TypeError(f"cannot interpret observable spec {spec!r}")
+    text = "".join(spec.split()).replace("**", "^")
+    parts = _TERM_SIGN.split(text if text[:1] in ("+", "-") else "+" + text)
+    out = OperatorExpr.zero()
+    for sign, chunk in zip(parts[1::2], parts[2::2]):
+        term = OperatorExpr.scalar(-1 if sign == "-" else 1)
+        for factor in chunk.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None or (m[1] and m[1] not in _SLOT) or (m[3] and isinf(float(m[3]))):
+                raise ValueError(f"cannot parse observable factor {factor!r} in {spec!r}")
+            if m[3]:
+                term = term.scaled(Fraction(float(m[3])))
+            else:
+                term = multiply(term, power(OperatorExpr.gen(m[1]), int(m[2] or 1)))
+        out = out + term
+    return out
+
+
 def differentiate(a: OperatorExpr, name: str) -> OperatorExpr:
     """Formal partial derivative with respect to one generator or scalar."""
     slot = _SLOT[name]
@@ -328,7 +364,6 @@ def differentiate(a: OperatorExpr, name: str) -> OperatorExpr:
     return OperatorExpr(terms)
 
 
-_TARGET_COORDS = (_SLOT["x"], _SLOT["p"])
 _DEVICE_COORDS = (_SLOT["X"], _SLOT["P"])
 _FORBIDDEN_IN_H = tuple(_SLOT[n] for n in ("pi_x", "pi_p", "pi_X", "pi_P", "h_op", "I_op"))
 

@@ -371,7 +371,7 @@ def _scenario_uncertainty(cfg, out, seed, manifest):
             reports.append(un.error_disturbance(tgt, dev, t_ens))
 
     manifest.record(path := out / "uncertainty.csv", un.reports_to_csv(reports, path))
-    worst = min(un.check_ozawa_like(r) for r in reports)
+    worst = min(r.slack_ozawa_like for r in reports)
     payload = {
         "min_ozawa_slack": worst,
         "max_abs_comm_ND": max(abs(r.comm_ND) for r in reports),

@@ -10,16 +10,18 @@ the symmetric 1/sqrt(N) convention with the continuum measure folded in, so
 the measure-weighted 2-norm is preserved exactly in every representation.
 Conjugate axes live on the reciprocal lattice 2*pi*fftfreq(n, d) of the
 coordinate axis; there is no independent conjugate-grid configuration.
+Every observable is an algebra.OperatorExpr, or text that algebra.parse
+reads into one.
 """
 
 from __future__ import annotations
 
 import math
-import re as _re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from ._slabs import split
 from .errors import (
     NonHermitianObservable,
@@ -408,70 +410,25 @@ def boundary_mass(s: _Field) -> float:
 # observables
 # ---------------------------------------------------------------------------
 
-_TOKEN = _re.compile(r"^([a-zA-Z_]+)(?:\s*(?:\^|\*\*)\s*(\d+))?$")
-
-
-@dataclass(frozen=True)
-class Observable:
-    """Real polynomial in the axis variables, total degree <= 2 per term."""
-
-    terms: tuple  # ((coeff, ((name, power), ...)), ...)
-
-    @staticmethod
-    def parse(spec):
-        if isinstance(spec, Observable):
-            return spec
-        if isinstance(spec, str):
-            return Observable(tuple(_parse_poly(spec)))
-        raise TypeError(f"cannot interpret observable spec {spec!r}")
-
-
-def _parse_poly(text):
-    """Parse 'x', '2*x^2', 'x*p - pi_x' style monomial sums."""
-    text = text.replace("-", "+-")
-    terms = []
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1.0
-        if chunk.startswith("-"):
-            sign = -1.0
-            chunk = chunk[1:].strip()
-        coeff = sign
-        powers = {}
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            try:
-                coeff *= float(factor)
-                continue
-            except ValueError:
-                pass
-            m = _TOKEN.match(factor)
-            if not m:
-                raise ValueError(f"cannot parse observable factor {factor!r}")
-            name, power = m.group(1), int(m.group(2) or 1)
-            powers[name] = powers.get(name, 0) + power
-        terms.append((coeff, tuple(sorted(powers.items()))))
-    return terms
-
-
 def expectation(s: _Field, obs) -> float:
-    """Expectation of a polynomial observable, degree <= 2 per monomial.
+    """Expectation of a real polynomial observable, degree <= 2 per monomial.
 
+    ``obs`` is an algebra.OperatorExpr or text that algebra.parse reads.
     Each monomial is evaluated on ``s.diagonal`` of its factors, which raises
-    NonHermitianObservable for an axis times its own conjugate.  A monomial
-    above degree 2 raises UnsupportedObservable.
+    NonHermitianObservable for an axis times its own conjugate and
+    ValueError for a generator or scalar that names no axis of ``s``.  A
+    monomial above degree 2 raises UnsupportedObservable, and a complex
+    coefficient ValueError.
     """
-    obs = Observable.parse(obs)
     total = 0.0
-    for coeff, powers in obs.terms:
+    for key, (re, im) in algebra.parse(obs).terms.items():
+        powers = algebra.monomial_factors(key)
         if sum(e for _, e in powers) > 2:
             raise UnsupportedObservable(
                 "only polynomials up to total degree 2 are supported"
             )
+        if im:
+            raise ValueError(f"complex coefficient {complex(re, im)} in an observable")
         view = s.diagonal(name for name, _ in powers)
         dens = view.density()
         weight = np.ones((), dtype=float)
@@ -481,30 +438,21 @@ def expectation(s: _Field, obs) -> float:
             shape = [1] * dens.ndim
             shape[idx] = len(vals)
             weight = weight * vals.reshape(shape)
-        total += coeff * float(np.sum(dens * weight)) * view.cell_measure()
+        total += float(re) * float(np.sum(dens * weight)) * view.cell_measure()
     return total
-
-
-def _merge_powers(pa, pb):
-    acc = {}
-    for name, e in tuple(pa) + tuple(pb):
-        acc[name] = acc.get(name, 0) + e
-    return tuple(sorted(acc.items()))
 
 
 def variance(s: _Field, obs) -> float:
     """<A^2> - <A>^2 for any observable A, clipped at 0.
 
-    A^2 is multiplied out term by term, so sums and scaled axes are exact,
+    A^2 is algebra.multiply(A, A), so sums and scaled axes are exact,
     e.g. variance(s, "x + p") = var(x) + var(p) + 2 cov(x, p).  A^2 must
     itself be an observable expectation accepts (degree <= 2 per monomial,
     no axis times its own conjugate).
     """
-    obs = Observable.parse(obs)
+    obs = algebra.parse(obs)
     m1 = expectation(s, obs)
-    sq = Observable(tuple((ca * cb, _merge_powers(pa, pb))
-                          for ca, pa in obs.terms for cb, pb in obs.terms))
-    return max(expectation(s, sq) - m1 * m1, 0.0)
+    return max(expectation(s, algebra.multiply(obs, obs)) - m1 * m1, 0.0)
 
 
 def sigma(s: _Field, obs) -> float:

@@ -6,7 +6,8 @@ D(t) = -t P in terms of initial operators), so every moment reduces to
 initial-state moments of a product state.  The reports here are computed
 that way, with the operator expressions taken from the symbolic engine
 rather than re-derived by hand; a 4D propagation cross-checks one
-configuration in the test suite.
+configuration in the test suite.  Every operator is an algebra.OperatorExpr,
+evaluated monomial by monomial with phasespace.expectation.
 
 Spreads of the conjugate variables obey the Kennard-Robertson bound, and
 the pi_x-disturbance obeys the hbar-independent product inequality
@@ -15,7 +16,7 @@ the pi_x-disturbance obeys the hbar-independent product inequality
 
 An EDReport holds only measured moments; its slacks, the two sign-trivial
 products and the zero-error claim are properties computed from them, and
-the checks and unbiased_scan read those properties.
+check_trivial and unbiased_scan read those properties.
 """
 
 from __future__ import annotations
@@ -26,49 +27,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra
-from .errors import NonHermitianObservable
-from .phasespace import Observable, PhaseState, expectation, sigma
+from .phasespace import PhaseState, expectation, sigma
 from .stateio import write_csv
-
-# the first four generators act on the target, the next four on the device;
-# a standalone device state names its axes as a target's (X -> x, pi_P -> pi_p)
-_TARGET_GENS = algebra.GENERATORS[:4]
-_DEVICE_GENS = algebra.GENERATORS[4:8]
-_DEVICE_LOCAL = dict(zip(_DEVICE_GENS, _TARGET_GENS))
 
 _TOL = 1e-9
 _TIGHT_TOL = 1e-12
 
 
-def _coeff_complex(coeff):
-    return complex(float(coeff[0]), float(coeff[1]))
-
-
-def _monomial_obs(names_and_powers):
-    return Observable(((1.0, tuple(names_and_powers)),))
+def _local(exponents):
+    """The monomial 1 * x^a p^b pi_x^c pi_p^d of ``exponents`` (a, b, c, d)."""
+    return algebra.OperatorExpr({exponents + (0,) * 8: (Fraction(1), Fraction(0))})
 
 
 def expectation_of_expr(expr, target: PhaseState, device: PhaseState = None) -> complex:
     """<expr> on a product state, term by term.
 
-    ``expr`` must be free of formal scalars and the Planck pair; target and
-    device factors of each monomial are evaluated on their own states and
-    multiplied (product-state factorization).
+    ``expr`` must be free of formal scalars and the Planck pair.  The
+    exponent key of each monomial splits into target slots 0-3 and device
+    slots 4-7; the device factors move to slots 0-3, since a standalone
+    device state names its axes as a target's (X -> x, pi_P -> pi_p).  Each
+    part is evaluated on its own state and the two multiplied
+    (product-state factorization).
     """
     total = 0.0 + 0.0j
     for key, coeff in expr.terms.items():
-        if any(key[algebra._SLOT[n]] for n in ("h_op", "I_op", "hbar", "t")):
+        if any(key[8:]):
             raise ValueError("expression still contains formal scalars or the Planck pair")
-        value = _coeff_complex(coeff)
-        t_pows = [(n, key[algebra._SLOT[n]]) for n in _TARGET_GENS if key[algebra._SLOT[n]]]
-        d_pows = [(n, key[algebra._SLOT[n]]) for n in _DEVICE_GENS if key[algebra._SLOT[n]]]
-        if t_pows:
-            value *= expectation(target, _monomial_obs(t_pows))
-        if d_pows:
+        value = complex(float(coeff[0]), float(coeff[1]))
+        if any(key[:4]):
+            value *= expectation(target, _local(key[:4]))
+        if any(key[4:8]):
             if device is None:
                 raise ValueError("expression references device operators, no device given")
-            local = [(_DEVICE_LOCAL[n], e) for n, e in d_pows]
-            value *= expectation(device, _monomial_obs(local))
+            value *= expectation(device, _local(key[4:8]))
         total += value
     return total
 
@@ -214,34 +205,16 @@ def check_trivial(report: EDReport) -> TrivialCheck:
     )
 
 
-def check_ozawa_like(report: EDReport) -> float:
-    """Slack of the hbar-independent product inequality; >= -1e-8 is required."""
-    return report.slack_ozawa_like
-
-
-def _observable_to_expr(obs):
-    obs = Observable.parse(obs)
-    out = algebra.OperatorExpr.zero()
-    for coeff, powers in obs.terms:
-        term = algebra.OperatorExpr.scalar(Fraction(coeff))
-        for name, e in powers:
-            if name not in _TARGET_GENS:
-                raise NonHermitianObservable(f"unsupported observable factor {name!r}")
-            for _ in range(e):
-                term = algebra.multiply(term, algebra.OperatorExpr.gen(name))
-        out = out + term
-    return out
-
-
 def kennard_robertson(s: PhaseState, a, b):
     """(lhs, rhs, holds) for sigma(a)*sigma(b) >= |<[a,b]>| / 2.
 
-    The commutator is taken symbolically and then evaluated on the state.
+    ``a`` and ``b`` are algebra.OperatorExpr or text that algebra.parse
+    reads.  The commutator is taken symbolically and then evaluated on the
+    state.
     """
-    obs_a, obs_b = Observable.parse(a), Observable.parse(b)
-    comm = algebra.commutator(_observable_to_expr(obs_a), _observable_to_expr(obs_b))
-    rhs = 0.5 * abs(expectation_of_expr(comm, s))
-    lhs = sigma(s, obs_a) * sigma(s, obs_b)
+    a, b = algebra.parse(a), algebra.parse(b)
+    rhs = 0.5 * abs(expectation_of_expr(algebra.commutator(a, b), s))
+    lhs = sigma(s, a) * sigma(s, b)
     return lhs, rhs, lhs >= rhs - _TOL
 
 

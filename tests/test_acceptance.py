@@ -221,7 +221,7 @@ def test_criterion_7_uncertainty_suite():
     point_ok = abs(point_rep.epsilon - 2.0) < 1e-12 and abs(point_rep.eta - 1.5) < 1e-12
 
     slack_ok = all(
-        un.check_ozawa_like(un.error_disturbance(draw(), draw(), 1.0)) >= -1e-8
+        un.error_disturbance(draw(), draw(), 1.0).slack_ozawa_like >= -1e-8
         for _ in range(20)
     )
 

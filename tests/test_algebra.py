@@ -230,3 +230,17 @@ def test_scalar_substitution():
     assert at2 == al.x.scaled(4) + al.multiply(al.hbar, al.p)
     with pytest.raises(ValueError):
         expr.subs_scalar("x", 1)
+
+
+def test_parse_multiplies_factors_in_the_order_written():
+    assert al.parse("2*x^2 - x*pi_p") == 2 * al.x * al.x - al.x * al.pi_p
+    assert al.parse("pi_x*x") == al.x * al.pi_x - I
+    assert al.parse(" x ** 2 + 0.5 ") == al.x * al.x + Fraction(1, 2)
+    assert al.parse("-hbar*t") == -(al.hbar * al.t_sym)
+    expr = al.x * al.pi_p
+    assert al.parse(expr) is expr
+    for bad in ("", "x +", "y", "x*-2", "2^2", "x^p", "1e999*x"):
+        with pytest.raises(ValueError):
+            al.parse(bad)
+    with pytest.raises(TypeError):
+        al.parse(2)

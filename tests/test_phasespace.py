@@ -4,11 +4,13 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kvnlab import algebra as al
 from kvnlab import phasespace as ps
 from kvnlab.errors import (
     NonHermitianObservable,
@@ -225,17 +227,39 @@ def test_expectation_parity_and_cross_terms(grid):
     assert abs(cross) < 1e-9  # even state, odd observable
 
 
+@pytest.mark.parametrize("text, coeff", [
+    ("1e-3*x", 1e-3), ("x*1e-3", 1e-3), ("2.5e-1*x", 2.5e-1), ("1e+3*x", 1e3),
+])
+def test_numbers_with_signed_exponents_are_read(grid, text, coeff):
+    # the sign of an exponent does not start a new term
+    s = ps.make_gaussian(grid, 0.4, -0.3, 1.0, 1.2)
+    assert ps.expectation(s, text) == pytest.approx(coeff * ps.expectation(s, "x"), rel=1e-15)
+    assert al.parse(text) == al.x.scaled(Fraction(coeff))
+
+
 def test_expectation_rejects_conjugate_mixing(grid):
+    # pi_x*x is x*pi_x - i in normal order: the x*pi_x monomial is rejected
     s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(NonHermitianObservable):
-        ps.expectation(s, "x*pi_x")
+    for obs in ("x*pi_x", "pi_x*x", al.multiply(al.x, al.pi_x), al.multiply(al.pi_x, al.x)):
+        with pytest.raises(NonHermitianObservable):
+            ps.expectation(s, obs)
 
 
 def test_expectation_rejects_degree_above_two(grid):
     s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(UnsupportedObservable) as info:
-        ps.expectation(s, "x^2*p")
-    assert not isinstance(info.value, NonHermitianObservable)
+    for obs in ("x^2*p", al.x * al.x * al.p):
+        with pytest.raises(UnsupportedObservable) as info:
+            ps.expectation(s, obs)
+        assert not isinstance(info.value, NonHermitianObservable)
+
+
+def test_expectation_rejects_names_without_an_axis_and_complex_coefficients(grid):
+    # a device generator, the Planck pair and a formal scalar name no axis of
+    # a PhaseState; text cannot write a complex coefficient
+    s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
+    for obs in ("X", al.X, "h_op", al.h_op, "t", al.t_sym, al.x.scaled((0, 1))):
+        with pytest.raises(ValueError):
+            ps.expectation(s, obs)
 
 
 def test_marginal_total_mass(grid):
