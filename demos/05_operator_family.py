@@ -4,7 +4,9 @@ Projecting the coupled state onto device labels leaves an indexed family of
 operators on the target.  Summed over labels they resolve the identity, and
 their squared norms reproduce the joint readout statistics in any of the
 four label representations.  Two of the printed closed forms differ from
-the unitary route; the gap is reported, never patched.
+the unitary route; the gap is reported, never patched.  It is a closed form
+in the device kernel: a reflection of the target's x cells for X_piP, and
+the row sums of |K|^2 against a phase-versus-shift gap for piX_piP.
 """
 
 import numpy as np

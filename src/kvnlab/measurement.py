@@ -232,8 +232,6 @@ class KrausOperator:
         self.family = family
         self.indices = (a, b)
         self.labels = (family.label_values[0][a], family.label_values[1][b])
-        self.label_rep = family.label_rep
-        self.label_measure = family.label_measure
 
     def apply_raw(self, amp):
         return self.family._apply(amp, *self.indices)
@@ -245,8 +243,8 @@ class KrausFamily:
     Kernels are derived from the unitary pointer coupling (all four label
     representations therefore give identical readout statistics and an
     exact resolution of identity).  The printed closed forms for two of the
-    mixed representations disagree with the unitary route; see
-    printed_kernel_discrepancy for the reported residuals.
+    mixed representations disagree with this route; printed_kernel_discrepancy
+    reports by how much.
 
     A label representation is two independent choices: the row label is X
     or pi_X (``_pi_x``) and the column label is P or pi_P (``_pi_p``);
@@ -255,34 +253,29 @@ class KrausFamily:
     on the target in (x, p), or (x, pi_p) under pi_P.  Member (a, b) is
     built by one row rule and one column rule:
 
-    - an X row reads K at a - i + i0 for target cell i (i0 is the x = 0
-      cell), or at a + i - i0 in the printed form;
-    - a pi_X row is K's row a times exp(-i pi_X x), or in the printed form
-      the target rolled by the label's whole-cell shift pi_X / dx;
+    - an X row reads K at a - i + i0 for target cell i (i0: the x = 0 cell);
+    - a pi_X row is K's row a times exp(-i pi_X x);
     - a P column is K's column b, with the target rolled by b's cell offset;
     - a pi_P column reads K at b - j for target cell j.
 
-    The printed forms differ from the unitary ones only under pi_P.  Every
-    member is thus a mask taken from K times a unitary shift or phase, so
-    M_ab^dag M_ab is diagonal in the working representation, holding |K|^2
-    at that member's kernel cells.  The family's statistics follow in
-    closed form from that (completeness_sum, joint_probabilities); _apply
-    applies one member.
+    Every member is thus a mask taken from K times a unitary shift or
+    phase, so M_ab^dag M_ab is diagonal in the working representation,
+    holding |K|^2 at that member's kernel cells.  The family's statistics
+    follow in closed form from that (completeness_sum,
+    joint_probabilities); _apply applies one member.
     """
 
-    def __init__(self, device: PhaseState, label_rep: str, grid: Grid2D = None, as_printed=False):
+    def __init__(self, device: PhaseState, label_rep: str, grid: Grid2D = None):
         if label_rep not in LABEL_REPS:
             raise ValueError(f"unknown label representation {label_rep!r}")
         self.device = device
         self.label_rep = label_rep
         self.grid = grid or device.grid
-        self.as_printed = as_printed
         _require_matched(self.grid.x_axis, device.grid.x_axis, "x/X")
         _require_matched(self.grid.p_axis, device.grid.p_axis, "p/P")
         self._pi_x, self._pi_p = label_rep.startswith("piX"), label_rep.endswith("piP")
         # the device axes that carry the labels, as a coupled state names them
         self.label_axes = ("pi_X" if self._pi_x else "X", "pi_P" if self._pi_p else "P")
-        self._printed = as_printed and self._pi_p
         labels = device.with_conj((self._pi_x, self._pi_p))
         self.kernel = labels.amp
         self.label_values = (labels.axis_values(0), labels.axis_values(1))
@@ -310,15 +303,9 @@ class KrausFamily:
             cols = slice(b, b + 1)
             amp = np.roll(amp, -self._p_offsets[b], axis=1)
         if not self._pi_x:
-            i = np.arange(n_x)
-            rows = (a + i - self._i0 if self._printed else a - i + self._i0) % n_x
-            return self.kernel[:, cols][rows] * amp
-        mask = self.kernel[a:a + 1, cols]
-        if self._printed:
-            shift = int(round(self.label_values[0][a] / self.grid.dx))
-            return mask * np.roll(amp, -shift, axis=0)
+            return self.kernel[:, cols][(a - np.arange(n_x) + self._i0) % n_x] * amp
         phase = np.exp(-1j * self.label_values[0][a] * self.grid.x())[:, None]
-        return mask * phase * amp
+        return self.kernel[a:a + 1, cols] * phase * amp
 
     def work_measure(self):
         return self.grid.dx * (self.grid.p_axis.d_conj if self._pi_p else self.grid.dp)
@@ -345,18 +332,13 @@ class KrausFamily:
         ifft2(fft2(|K|^2') * fft2(rho')).  A label index that only picks a
         kernel row (pi_X) or column (P) sees rho summed along its target
         axis and placed at index 0.  The X rows (a - i + i0) roll |K|^2 by
-        -i0; the printed X_piP rows (a + i - i0) make a correlation, |K|^2
-        rolled by +i0 against rho reversed along x.  FFT round-off is
-        clipped at 0.
+        -i0.  FFT round-off is clipped at 0.
         """
         rho = np.abs(phi.with_conj(self.work_flags).amp) ** 2
         k2 = np.abs(self.kernel) ** 2
         rows, cols = np.indices(rho.shape, sparse=True)
         if self._pi_x:
             rho = np.where(rows == 0, rho.sum(axis=0, keepdims=True), 0.0)
-        elif self._printed:
-            rho = np.roll(rho[::-1], 1, axis=0)
-            k2 = np.roll(k2, self._i0, axis=0)
         else:
             k2 = np.roll(k2, -self._i0, axis=0)
         if not self._pi_p:
@@ -365,9 +347,9 @@ class KrausFamily:
         return np.maximum(probs, 0.0) * (self.work_measure() * self.label_measure)
 
 
-def kraus_build(device: PhaseState, label_rep: str, grid: Grid2D = None, as_printed=False) -> KrausFamily:
+def kraus_build(device: PhaseState, label_rep: str, grid: Grid2D = None) -> KrausFamily:
     """Indexed operator family for one of the four label representations."""
-    return KrausFamily(device, label_rep, grid, as_printed)
+    return KrausFamily(device, label_rep, grid)
 
 
 def apply_kraus(phi: PhaseState, m: KrausOperator, want_post=True):
@@ -379,7 +361,7 @@ def apply_kraus(phi: PhaseState, m: KrausOperator, want_post=True):
     work = phi.with_conj(m.family.work_flags)
     raw = m.apply_raw(work.amp)
     norm_sq = float(np.sum(np.abs(raw) ** 2)) * m.family.work_measure()
-    prob = norm_sq * m.label_measure
+    prob = norm_sq * m.family.label_measure
     if not want_post:
         return prob, None
     if prob <= 1e-12:
@@ -392,33 +374,49 @@ def printed_kernel_discrepancy(device: PhaseState, phi: PhaseState) -> dict:
     """Gap between printed closed-form kernels and the unitary-route ones.
 
     The mixed-representation closed forms carry a sign asymmetry (X + x in
-    place of X - x) and a lattice shift in place of a phase.  For each label
-    representation two residuals are reported, not patched: the L1 gap of
-    the label distributions and the L2 gap of the operators' action on the
-    given state (summed over labels, label-measure weighted).  Under a P
-    column (X_P, piX_P) the printed family is the unitary one, so both
-    residuals are 0.0 without being computed.
+    place of X - x) and a lattice shift in place of a phase.  Two residuals
+    are reported per label representation, not patched: the L1 gap of the
+    label distributions and the L2 gap of the operators' action on phi
+    (summed over labels, label-measure weighted).  Both are closed forms in
+    the unitary family's kernel K:
+
+    - X_P, piX_P: under a P column the printed family is the unitary one.
+    - X_piP: a printed member is R M R, M the unitary member and R the
+      reflection i -> 2 i0 - i of the target's x cells about x = 0, so the
+      probability gap is |P(phi) - P(R phi)|_1.  The action gap sums
+      rho_x(i) (the density summed over pi_p) times 2 sum|K|^2 - 2 Re C(s),
+      with C(s) = sum_ab K[a + s, b] conj K[a, b] and s = 2 (i - i0); by
+      Parseval that is (4 / n_x) sum_kb |F[k, b]|^2 sin^2(pi k s / n_x), F
+      the FFT of K along X, whose terms are non-negative and 0 at s = 0.
+    - piX_piP: a whole-cell roll of the target keeps each member's
+      probability, so that gap is 0.0.  The action gap is
+      sum_a r_a |exp(-i pi_a x) phi - roll(phi, -s_a)|^2 with r_a the row
+      sums of |K|^2 and s_a = rint(pi_a / dx), each norm taken as
+      2 |phi|^2 - 2 Re sum_i exp(i pi_a x_i) G[i, i + s_a] from the Gram
+      matrix G of phi's x rows.
     """
-    out = {}
-    for rep in LABEL_REPS:
-        oracle = kraus_build(device, rep, phi.grid)
-        if not oracle._pi_p:
-            out[rep] = {"probability_l1": 0.0, "action_l2": 0.0}
-            continue
-        printed = kraus_build(device, rep, phi.grid, as_printed=True)
-        prob_gap = float(
-            np.abs(oracle.joint_probabilities(phi) - printed.joint_probabilities(phi)).sum()
-        )
-        work = phi.with_conj(oracle.work_flags)
-        action = 0.0
-        for a in range(oracle.shape[0]):
-            for b in range(oracle.shape[1]):
-                diff = oracle._apply(work.amp, a, b) - printed._apply(work.amp, a, b)
-                action += float(np.sum(np.abs(diff) ** 2)) * oracle.work_measure()
-        out[rep] = {
-            "probability_l1": prob_gap,
-            "action_l2": math.sqrt(action * oracle.label_measure),
-        }
+    out = {rep: {"probability_l1": 0.0, "action_l2": 0.0} for rep in LABEL_REPS}
+    grid, cells = phi.grid, np.arange(phi.grid.n_x)
+    fam = kraus_build(device, "X_piP", grid)
+    work = phi.with_conj(fam.work_flags)
+    mirror = work._clone(work.conj_flags, work.amp[(2 * fam._i0 - cells) % grid.n_x])
+    probs = fam.joint_probabilities(work) - fam.joint_probabilities(mirror)
+    power = (np.abs(np.fft.fft(fam.kernel, axis=0)) ** 2).sum(axis=1)
+    rho_x = work.density().sum(axis=1)
+    steps = np.outer(cells - fam._i0, cells) % grid.n_x
+    action = rho_x @ np.sin(2.0 * math.pi / grid.n_x * steps) ** 2 @ power
+    out["X_piP"] = {"probability_l1": float(np.abs(probs).sum()), "action_l2": math.sqrt(
+        float(action) * 4.0 / grid.n_x * fam.work_measure() * fam.label_measure)}
+
+    fam = kraus_build(device, "piX_piP", grid)
+    pi_x = fam.label_values[0]
+    gram = work.amp.conj() @ work.amp.T
+    shifted = gram[cells, (cells + np.rint(pi_x / grid.dx).astype(int)[:, None]) % grid.n_x]
+    overlaps = (np.exp(1j * np.outer(pi_x, grid.x())) * shifted).sum(axis=1).real
+    action = (np.abs(fam.kernel) ** 2).sum(axis=1) @ (2.0 * rho_x.sum() - 2.0 * overlaps)
+    # the Gram form cancels, so a gap of 0 can come out just below 0
+    out["piX_piP"]["action_l2"] = math.sqrt(
+        max(float(action), 0.0) * fam.work_measure() * fam.label_measure)
     return out
 
 

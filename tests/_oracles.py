@@ -253,9 +253,11 @@ def save_state_interleaved(state, path):
         fh.write(data.tobytes(order="C"))
 
 
-def kraus_dense(op):
+def kraus_dense(op, member=None):
     """One member of an operator family as a dense matrix on the flattened
-    target lattice (working representation), column by column."""
+    target lattice (working representation), column by column; ``member``
+    is a rule such as printed_member, else the family's own."""
+    apply = op.apply_raw if member is None else (lambda amp: member(op.family, amp, *op.indices))
     grid = op.family.grid
     n = grid.n_x * grid.n_p
     out = np.zeros((n, n), dtype=np.complex128)
@@ -263,19 +265,67 @@ def kraus_dense(op):
     flat = basis.reshape(-1)
     for col in range(n):
         flat[col] = 1.0
-        out[:, col] = op.apply_raw(basis).reshape(-1)
+        out[:, col] = apply(basis).reshape(-1)
         flat[col] = 0.0
     return out
 
 
-def kraus_probabilities_loop(family, phi):
-    """Label-wise probabilities by literal application of each member."""
+def kraus_probabilities_loop(family, phi, member=None):
+    """Label-wise probabilities by literal application of each member, by
+    the rule ``member`` (such as printed_member) or the family's own."""
+    member = member or (lambda fam, amp, a, b: fam._apply(amp, a, b))
     work = phi.with_conj(family.work_flags)
     measure = family.work_measure() * family.label_measure
     out = np.empty(family.shape)
     for a in range(family.shape[0]):
         for b in range(family.shape[1]):
-            out[a, b] = float(np.sum(np.abs(family._apply(work.amp, a, b)) ** 2)) * measure
+            out[a, b] = float(np.sum(np.abs(member(family, work.amp, a, b)) ** 2)) * measure
+    return out
+
+
+def printed_member(family, amp, a, b):
+    """Member (a, b) of the printed closed-form family that goes with the
+    unitary ``family``, applied to ``amp`` (working representation).
+
+    Under a P column it is the unitary member.  Under pi_P an X row reads
+    the kernel at a + i - i0 for target cell i (X + x in place of X - x),
+    and a pi_X row rolls the target by the label's whole-cell shift
+    pi_X / dx in place of the phase exp(-i pi_X x).
+    """
+    if not family._pi_p:
+        return family._apply(amp, a, b)
+    n_x, n_p = family.grid.n_x, family.grid.n_p
+    cols = (b - np.arange(n_p)) % n_p
+    if not family._pi_x:
+        return family.kernel[:, cols][(a + np.arange(n_x) - family._i0) % n_x] * amp
+    shift = int(round(family.label_values[0][a] / family.grid.dx))
+    return family.kernel[a:a + 1, cols] * np.roll(amp, -shift, axis=0)
+
+
+def printed_discrepancy_loop(device, phi):
+    """measurement.printed_kernel_discrepancy label by label: every member
+    of the unitary family and of the printed one is applied to phi.  The
+    printed probabilities are a per-member loop too."""
+    from kvnlab.measurement import LABEL_REPS, kraus_build
+
+    out = {}
+    for rep in LABEL_REPS:
+        oracle = kraus_build(device, rep, phi.grid)
+        if not oracle._pi_p:
+            out[rep] = {"probability_l1": 0.0, "action_l2": 0.0}
+            continue
+        printed = kraus_probabilities_loop(oracle, phi, printed_member)
+        prob_gap = float(np.abs(oracle.joint_probabilities(phi) - printed).sum())
+        work = phi.with_conj(oracle.work_flags)
+        action = 0.0
+        for a in range(oracle.shape[0]):
+            for b in range(oracle.shape[1]):
+                diff = oracle._apply(work.amp, a, b) - printed_member(oracle, work.amp, a, b)
+                action += float(np.sum(np.abs(diff) ** 2)) * oracle.work_measure()
+        out[rep] = {
+            "probability_l1": prob_gap,
+            "action_l2": math.sqrt(action * oracle.label_measure),
+        }
     return out
 
 

@@ -313,33 +313,44 @@ def random_state(grid, rng):
 
 def test_kraus_completeness_dense_literal():
     # literal sum of M^dag M over every label on a tiny lattice, for every
-    # label representation and both kernels: completeness_sum's closed form
-    # assumes each label map is a bijection at every target cell, and this
-    # is what checks it
-    from _oracles import kraus_dense
+    # label representation, of the family and of the printed reference
+    # family: completeness_sum's closed form assumes each label map is a
+    # bijection at every target cell, and this is what checks it
+    from _oracles import kraus_dense, printed_member
 
     grid = ps.Grid2D(8, 8, -4.0, 4.0, -4.0, 4.0)
     device = random_state(grid, np.random.default_rng(41))
     n = grid.n_x * grid.n_p
     for rep in ms.LABEL_REPS:
-        for as_printed in (False, True):
-            fam = ms.kraus_build(device, rep, grid, as_printed=as_printed)
+        fam = ms.kraus_build(device, rep, grid)
+        for member in (None, printed_member):
             acc = np.zeros((n, n), dtype=complex)
             for op in fam:
-                m = kraus_dense(op)
+                m = kraus_dense(op, member)
                 acc += m.conj().T @ m * fam.label_measure
-            assert np.abs(acc - np.eye(n)).max() < 1e-12, (rep, as_printed)
+            assert np.abs(acc - np.eye(n)).max() < 1e-12, (rep, member)
             assert np.abs(np.diag(acc).real - fam.completeness_sum().ravel()).max() < 1e-12
 
 
+def reflected_x(state):
+    """An xp state with its x cells reflected about the x = 0 cell i0:
+    cell i takes the amplitude of cell 2 i0 - i."""
+    n_x = state.grid.n_x
+    rows = (2 * ms._origin_index(state.grid.x_axis) - np.arange(n_x)) % n_x
+    return ps.PhaseState(state.grid, "xp", state.amp[rows])
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "random"])
-@pytest.mark.parametrize("as_printed", [False, True], ids=["unitary", "printed"])
+@pytest.mark.parametrize("printed", [False, True], ids=["unitary", "printed"])
 @pytest.mark.parametrize("rep", ms.LABEL_REPS)
-def test_joint_probabilities_match_label_loop(rep, as_printed, kind):
+def test_joint_probabilities_match_label_loop(rep, printed, kind):
     # the closed-form convolution against the literal per-member loop; the
     # x = 0 cell sits off the middle of the lattice, so rolls by +i0 and
-    # -i0 differ
-    from _oracles import kraus_probabilities_loop
+    # -i0 differ.  The printed reference family has the unitary family's
+    # probabilities, but for X_piP: there a printed member is R M R, with
+    # R the reflection of x about x = 0, so its probabilities are those of
+    # R phi
+    from _oracles import kraus_probabilities_loop, printed_member
 
     grid = ps.Grid2D(32, 32, -7.5, 12.5, -7.5, 12.5)
     rng = np.random.default_rng(43)
@@ -347,10 +358,13 @@ def test_joint_probabilities_match_label_loop(rep, as_printed, kind):
         target, device = gaussian_pair(grid, rng)
     else:
         target, device = random_state(grid, rng), random_state(grid, rng)
-    fam = ms.kraus_build(device, rep, grid, as_printed=as_printed)
+    fam = ms.kraus_build(device, rep, grid)
+    loop = kraus_probabilities_loop(fam, target, printed_member if printed else None)
+    if printed and rep == "X_piP":
+        target = reflected_x(target)
     probs = fam.joint_probabilities(target)
     assert probs.min() >= 0.0
-    assert np.abs(probs - kraus_probabilities_loop(fam, target)).max() < 1e-15
+    assert np.abs(probs - loop).max() < 1e-15
 
 
 def test_kraus_probabilities_match_readout_joint(grid):
@@ -423,7 +437,81 @@ def test_printed_kernels_reported_not_patched(grid):
     assert gaps["X_piP"]["probability_l1"] > 0.01
     assert gaps["piX_piP"]["action_l2"] > 0.01
     # the slip in the second mixed form is invisible at the density level
-    assert gaps["piX_piP"]["probability_l1"] < 1e-9
+    assert gaps["piX_piP"]["probability_l1"] == 0.0
+
+
+# the gaps that printed_kernel_discrepancy reports as 0.0 without computing
+_ZERO_GAPS = {("X_P", "probability_l1"), ("X_P", "action_l2"), ("piX_P", "probability_l1"),
+              ("piX_P", "action_l2"), ("piX_piP", "probability_l1")}
+
+
+def assert_gaps_match_loop(device, target, rel):
+    from _oracles import printed_discrepancy_loop
+
+    gaps = ms.printed_kernel_discrepancy(device, target)
+    loop = printed_discrepancy_loop(device, target)
+    # the loop's 0.0 gaps may hold the round-off of one 1e-15 per label
+    floor = 1e-15 * target.grid.n_x * target.grid.n_p
+    for rep in ms.LABEL_REPS:
+        for key, want in loop[rep].items():
+            if (rep, key) in _ZERO_GAPS:
+                assert gaps[rep][key] == 0.0 and want <= floor, (rep, key, want)
+            else:
+                assert gaps[rep][key] == pytest.approx(want, rel=rel, abs=0.0), (rep, key)
+
+
+def gaussian_on(grid, rng):
+    """A Gaussian two to three cells wide on each axis, near the origin."""
+    x0, p0 = rng.uniform(-1.0, 1.0, size=2)
+    sx, sp = rng.uniform(2.0, 3.0, size=2) * (grid.dx, grid.dp)
+    amp = np.exp(-((grid.x()[:, None] - x0) ** 2) / (4.0 * sx**2)
+                 - (grid.p()[None, :] - p0) ** 2 / (4.0 * sp**2))
+    return ps.PhaseState(grid, "xp", amp).normalized()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "random"])
+@pytest.mark.parametrize("lattice", [(32, 32, -7.5, 12.5, -7.5, 12.5),
+                                     (16, 32, -6.0, 10.0, -2.0, 6.0)],
+                         ids=["off-centre", "rectangular"])
+def test_printed_gaps_match_label_loop(lattice, kind):
+    # the closed forms against the label loop that applies every member of
+    # both families, with the x = 0 cell off the middle of the lattice
+    grid = ps.Grid2D(*lattice)
+    rng = np.random.default_rng(53)
+    make = gaussian_on if kind == "gaussian" else random_state
+    target, device = make(grid, rng), make(grid, rng)
+    assert_gaps_match_loop(device, target, 1e-13)
+
+
+def test_printed_gaps_of_a_point_at_the_origin():
+    # a target on the x = 0 cell is its own reflection: the X_piP gaps are
+    # exactly 0, as they are in the label loop
+    from _oracles import printed_discrepancy_loop
+
+    grid = ps.Grid2D(16, 16, -6.0, 10.0, -8.0, 8.0)
+    target = ps.make_point(grid, 0.0, 1.0)
+    device = random_state(grid, np.random.default_rng(59))
+    assert ms.printed_kernel_discrepancy(device, target)["X_piP"] == {
+        "probability_l1": 0.0, "action_l2": 0.0}
+    loop = printed_discrepancy_loop(device, target)["X_piP"]
+    assert loop["action_l2"] == 0.0 and loop["probability_l1"] < 1e-15 * 16 * 16
+
+
+def test_printed_gaps_of_a_device_flat_along_x():
+    # a device constant along X puts its pi_X weight on the pi_X = 0 row,
+    # where phase and shift agree, so the piX_piP action gap is round-off
+    # about 0; the closed form's cancellation can take it below 0, which
+    # must read as a gap of 0, not raise
+    from _oracles import printed_discrepancy_loop
+
+    grid = ps.Grid2D(16, 16, -8.0, 8.0, -8.0, 8.0)
+    amp = np.ones((16, 16)) * np.exp(-(grid.p()[None, :] ** 2) / 4.0)
+    device = ps.PhaseState(grid, "xp", amp).normalized()
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        target = ps.PhaseState(grid, "xp", rng.normal(size=(16, 16))).normalized()
+        assert ms.printed_kernel_discrepancy(device, target)["piX_piP"]["action_l2"] < 1e-7
+    assert printed_discrepancy_loop(device, target)["piX_piP"]["action_l2"] < 1e-7
 
 
 def test_device_spec_validation(grid):
@@ -434,3 +522,4 @@ def test_device_spec_validation(grid):
         ms.DeviceSpec(state=state, readout_axis="q")
     with pytest.raises(ValueError):
         ms.DeviceSpec(state=ps.PhaseState(grid, "xp", state.amp * 2.0))
+
