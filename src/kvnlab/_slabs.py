@@ -4,10 +4,10 @@ A transform of an array of at least 2**16 elements (a 256^2 state, a 16^4
 pair and up) runs on every usable core, one slab per core (see split): a
 shear of dynamics, the inverse transforms of a formed coupling, or a
 representation change of phasespace.  The result is bit-identical to the
-serial one.  together is the one place that hands work to the pool, for
-these slabs and for stateio.save_state, which hashes a state of that size
-while it writes it.  The usable cores are the process's CPU affinity, so
-``taskset -c 0`` keeps all of it serial.
+serial one.  later is the one place that hands work to the pool: together
+runs these slabs on it, and stateio.write_state hashes a state of that size
+on it while the run goes on.  The usable cores are the process's CPU
+affinity, so ``taskset -c 0`` keeps all of it serial.
 """
 
 import os
@@ -54,39 +54,73 @@ def _executor():
         return _pool
 
 
+def later(size, fn):
+    """``fn``'s result, as a zero-argument callable to call once.
+
+    On work of at least PARALLEL_MIN elements (2**16: a 256^2 state, a 16^4
+    pair) ``fn`` goes to the pool, which has one thread per usable core but
+    one, and the calling thread goes on.  Calling the result runs ``fn`` on
+    the calling thread if the pool has not started it, so a pool thread busy
+    or slow to wake (an idle vCPU the host is slow to run again) costs at
+    most the serial time; otherwise it waits for ``fn`` and re-raises its
+    error.  With one usable core, or below the threshold, ``fn`` runs at
+    once, and an error it raises propagates from here.
+    """
+    executor = _executor()[0] if size >= PARALLEL_MIN else None
+    if executor is None:
+        value = fn()
+        return lambda: value
+    return _Pending(executor, fn)
+
+
+class _Pending:
+    """The result of later while ``fn`` is on the pool; whichever thread
+    runs ``fn`` lets go of it, so what it holds is freed once it is done."""
+
+    def __init__(self, executor, fn):
+        self._fn = fn
+        self._future = executor.submit(self._run)
+
+    def _run(self):
+        fn, self._fn = self._fn, None
+        return fn()
+
+    def __call__(self):
+        return self._run() if self.drop() else self._future.result()
+
+    def drop(self):
+        """Cancel ``fn`` unless the pool has started it; True once it is cancelled."""
+        return self._future.cancel()
+
+
 def together(size, tasks):
     """Run every callable of ``tasks``; on work of at least PARALLEL_MIN
-    elements (2**16: a 256^2 state, a 16^4 pair) the pool takes the rest
-    while the calling thread runs the first.
+    elements the calling thread runs the first while the rest go to the pool
+    (see later), then takes back each one the pool has not started.
 
-    The pool has one thread per usable core but one.  When its own task is
-    done the calling thread cancels each pool task that has not started and
-    runs it itself, so a pool thread slow to wake (an idle vCPU the host is
-    slow to run again) costs at most the serial time; it waits only for
-    tasks already running.  If a task on the calling thread raises, the pool
-    tasks not yet started are dropped, the running ones waited for, and the
-    error propagates, as does an error raised on a pool thread.  With one
-    usable core, or below the threshold, the calling thread runs them all
-    in order.
+    It waits only for tasks already running.  If a task on the calling
+    thread raises, the pool tasks not yet started are dropped, the running
+    ones waited for, and the error propagates, as does an error raised on a
+    pool thread.  With one usable core, or below the threshold, the calling
+    thread runs them all in order.
 
     On a loaded 2-vCPU KVM guest the caller ran 10-72 of 600 pool slabs
     per evolve_2d pass, and passes were faster in 10 of 15 paired rounds.
     """
-    executor = _executor()[0] if size >= PARALLEL_MIN and len(tasks) > 1 else None
-    if executor is None:
+    if size < PARALLEL_MIN or len(tasks) < 2 or _executor()[0] is None:
         for task in tasks:
             task()
         return
-    futures = [executor.submit(task) for task in tasks[1:]]
+    rest = [later(size, task) for task in tasks[1:]]
     try:
         tasks[0]()
-        for task, fut in zip(tasks[1:], futures):
-            if fut.cancel():
+        for task, result in zip(tasks[1:], rest):
+            if result.drop():
                 task()
     finally:
-        for fut in futures:
-            if not fut.cancel():
-                fut.result()
+        for result in rest:
+            if not result.drop():
+                result()
 
 
 def split(arr, axes, block):

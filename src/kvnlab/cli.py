@@ -36,7 +36,7 @@ from . import measurement as ms
 from . import phasespace as ps
 from . import uncertainty as un
 from .errors import ConfigError, KvnLabError, MissingArtifact, ScenarioError
-from .stateio import save_state, write_csv, write_json
+from .stateio import write_csv, write_json, write_state
 
 # ---------------------------------------------------------------------------
 # config validation
@@ -191,12 +191,18 @@ class RunManifest:
     out_dir: str = ""
     files: list = field(default_factory=list)
 
-    def record(self, path: Path, digest: str):
+    def record(self, path: Path, digest):
         """Add ``path`` with ``digest``, the sha256 its writer returned for the
-        bytes it wrote; every run file is recorded as it is written."""
+        bytes it wrote: a str, or the pending digest of stateio.write_state,
+        which write resolves.  Every run file is recorded as it is written."""
         self.files.append({"name": path.name, "sha256": digest})
 
     def write(self, out_dir: Path):
+        """Write manifest.json, once every pending digest is resolved in
+        record order; an error its hash raised propagates from here."""
+        for f in self.files:
+            if callable(f["sha256"]):
+                f["sha256"] = f["sha256"]()
         self.finished = _utcnow()
         payload = {
             "scenario": self.scenario,
@@ -258,7 +264,7 @@ def _scenario_evolve(cfg, out, seed, manifest):
         ((x_mean, sigma_x), (p_mean, sigma_p)), norm = _moments(snap, ("x", "p"))
         rows.append((step + 1, (step + 1) * plan.dt, x_mean, p_mean, sigma_x, sigma_p, norm))
         if snapshot_every and (step + 1) % snapshot_every == 0:
-            manifest.record(path := out / f"state_{step + 1:06d}.state", save_state(snap, path))
+            manifest.record(path := out / f"state_{step + 1:06d}.state", write_state(snap, path))
 
     final = dyn.kvn_evolve(state, h, plan, observer=observer)
     boundary = ps.boundary_mass(final)
@@ -266,7 +272,7 @@ def _scenario_evolve(cfg, out, seed, manifest):
         print(f"warning: boundary mass {boundary:.3e} exceeds 1e-6", file=sys.stderr)
     manifest.record(path := out / "trajectory.csv", write_csv(
         path, ("step", "t", "x_mean", "p_mean", "sigma_x", "sigma_p", "norm"), rows))
-    manifest.record(path := out / "final.state", save_state(final, path))
+    manifest.record(path := out / "final.state", write_state(final, path))
 
 
 def _scenario_qm_compare(cfg, out, seed, manifest):
@@ -300,7 +306,7 @@ def _scenario_measure(cfg, out, seed, manifest):
     manifest.record(path := out / "readout.csv", record.to_csv(path))
     manifest.record(path := out / "readout.json", record.to_json(
         path, target_grid=repr(grid), device_grid=repr(grid), coupling_duration=1.0))
-    manifest.record(path := out / "coupled.state", save_state(after, path))
+    manifest.record(path := out / "coupled.state", write_state(after, path))
 
     r1, r2 = ms.check_simultaneity(after, target, device)
     classical_inst = ms.pointer_instantiated_residual(after, target)
@@ -421,7 +427,7 @@ def _scenario_pulsed(cfg, out, seed, manifest):
 
     initial = ps.product_state(target, device)
     final = dyn.pulsed_propagator(initial, h_t, h_d, eps, t1, t_total, plan)
-    manifest.record(path := out / "final.state", save_state(final, path))
+    manifest.record(path := out / "final.state", write_state(final, path))
     ((pointer_mean, _), (target_x_mean, _)), norm = _moments(final, ("X", "x"))
     payload = {
         "pointer_mean": pointer_mean,

@@ -200,12 +200,16 @@ class _Field:
         """This field with each axis in ``names`` diagonal and the others unchanged.
         An unknown name raises ValueError; an axis named with its own conjugate
         raises NonHermitianObservable, as no representation makes both diagonal."""
+        return self.with_conj(self._diagonal_flags(names))
+
+    def _diagonal_flags(self, names):
+        """The conjugate flags of diagonal(names), with its errors."""
         named = {}
         for name in names:
             idx, conj = self.axis_index(name)
             if named.setdefault(idx, conj) != conj:
                 raise NonHermitianObservable(f"{name} mixes an axis with its own conjugate")
-        return self.with_conj(named.get(i, f) for i, f in enumerate(self._conj))
+        return tuple(named.get(i, f) for i, f in enumerate(self._conj))
 
     def with_conj(self, flags):
         """Transform to the representation given by per-axis conjugate flags;
@@ -418,28 +422,51 @@ def expectation(s: _Field, obs) -> float:
     NonHermitianObservable for an axis times its own conjugate and
     ValueError for a generator or scalar that names no axis of ``s``.  A
     monomial above degree 2 raises UnsupportedObservable, and a complex
-    coefficient ValueError.
+    coefficient ValueError.  Monomials diagonal in the same representation
+    share one density; the monomials are summed in the order of ``obs``.
     """
-    total = 0.0
-    for key, (re, im) in algebra.parse(obs).terms.items():
-        powers = algebra.monomial_factors(key)
-        if sum(e for _, e in powers) > 2:
-            raise UnsupportedObservable(
-                "only polynomials up to total degree 2 are supported"
-            )
-        if im:
-            raise ValueError(f"complex coefficient {complex(re, im)} in an observable")
-        view = s.diagonal(name for name, _ in powers)
+    return _expectations(s, [algebra.parse(obs)])[0]
+
+
+def _expectations(s: _Field, exprs):
+    """The expectation of each OperatorExpr of ``exprs`` on ``s``.
+
+    Every monomial is checked first, in order.  Then each representation
+    that some monomial is diagonal in gets one density, which serves all of
+    them and is let go before the next; each expectation adds up its own
+    monomials' values in its own order, so it has the bits of a loop that
+    takes a density per monomial.
+    """
+    terms = []  # (index into exprs, conjugate flags, coefficient, factors)
+    for k, expr in enumerate(exprs):
+        for key, (re, im) in expr.terms.items():
+            powers = algebra.monomial_factors(key)
+            if sum(e for _, e in powers) > 2:
+                raise UnsupportedObservable(
+                    "only polynomials up to total degree 2 are supported"
+                )
+            if im:
+                raise ValueError(f"complex coefficient {complex(re, im)} in an observable")
+            terms.append((k, s._diagonal_flags(name for name, _ in powers), float(re), powers))
+    values = [0.0] * len(terms)
+    for flags in dict.fromkeys(t[1] for t in terms):
+        view = s.with_conj(flags)
         dens = view.density()
-        weight = np.ones((), dtype=float)
-        for name, e in powers:
-            idx, _ = view.axis_index(name)
-            vals = view.axis_values(idx) ** e
-            shape = [1] * dens.ndim
-            shape[idx] = len(vals)
-            weight = weight * vals.reshape(shape)
-        total += float(re) * float(np.sum(dens * weight)) * view.cell_measure()
-    return total
+        for j, (_, f, re, powers) in enumerate(terms):
+            if f != flags:
+                continue
+            weight = np.ones((), dtype=float)
+            for name, e in powers:
+                idx, _ = view.axis_index(name)
+                vals = view.axis_values(idx) ** e
+                shape = [1] * dens.ndim
+                shape[idx] = len(vals)
+                weight = weight * vals.reshape(shape)
+            values[j] = re * float(np.sum(dens * weight)) * view.cell_measure()
+    totals = [0.0] * len(exprs)
+    for (k, *_), value in zip(terms, values):
+        totals[k] += value
+    return totals
 
 
 def variance(s: _Field, obs) -> float:
@@ -448,11 +475,12 @@ def variance(s: _Field, obs) -> float:
     A^2 is algebra.multiply(A, A), so sums and scaled axes are exact,
     e.g. variance(s, "x + p") = var(x) + var(p) + 2 cov(x, p).  A^2 must
     itself be an observable expectation accepts (degree <= 2 per monomial,
-    no axis times its own conjugate).
+    no axis times its own conjugate).  Both moments share their densities:
+    one per representation.
     """
     obs = algebra.parse(obs)
-    m1 = expectation(s, obs)
-    return max(expectation(s, algebra.multiply(obs, obs)) - m1 * m1, 0.0)
+    m1, m2 = _expectations(s, [obs, algebra.multiply(obs, obs)])
+    return max(m2 - m1 * m1, 0.0)
 
 
 def sigma(s: _Field, obs) -> float:

@@ -1,5 +1,6 @@
 """Flat binary container for states, plus the CSV and JSON writers of every run.
-Each writer returns the sha256 hex digest of the bytes it wrote.
+Each writer returns the sha256 hex digest of the bytes it wrote; write_state
+returns it pending, as a callable, while the hash runs on the slab pool.
 
 Layout: magic ``KVNSTATE``, version, endianness marker, axis count, one
 conjugate flag per axis, then per axis (n, vmin, vmax), then the amplitude
@@ -19,7 +20,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from ._slabs import together
+from ._slabs import later
 from .phasespace import BipartiteState, Density, Grid2D, PhaseState, _FLAGS_REP
 
 _MAGIC = b"KVNSTATE"
@@ -27,17 +28,24 @@ _VERSION = 1
 _ENDIAN_MARK = 0x01020304
 
 
-def save_state(state, path):
-    """Serialize a PhaseState or BipartiteState to the binary container.
+# about this many elements of a float64 amplitude are cast to <c16 at a time
+_SLAB = 1 << 14
+
+
+def write_state(state, path):
+    """Serialize a PhaseState or BipartiteState to the binary container, and
+    return its pending digest: a zero-argument callable that gives the
+    sha256 hex digest of the bytes written.
 
     The amplitude is always written as little-endian complex128 (``<c16``):
     a float64 xp amplitude is cast, with +0.0 imaginary parts, so its file
-    and digest are those of its complex128 cast.  Returns the sha256 hex
-    digest of the bytes written.  The amplitude is written and hashed as two
-    tasks of _slabs.together: on a state large enough for its pool (a 256^2
-    state, a 16^4 pair and up) a pool thread hashes it while this one writes
-    it, as both release the GIL, and this one hashes it if the pool has not
-    started by then.
+    and digest are those of its complex128 cast.  The hash goes to
+    _slabs.later before this thread writes the file: on a state large enough
+    for its pool (a 256^2 state, a 16^4 pair and up) a pool thread hashes
+    while this one writes and then goes on, and on a smaller state, or on
+    one core, the hash runs here first.  It reads the state's amplitude,
+    which is frozen, and holds no copy of it: a float64 amplitude is
+    written and hashed through small buffers.
     """
     axes = state.axes()
     header = b"".join([
@@ -46,12 +54,40 @@ def save_state(state, path):
         struct.pack(f"<{len(axes)}B", *[int(f) for f in state.conj_flags]),
         *(struct.pack("<Qdd", ax.n, ax.vmin, ax.vmax) for ax in axes),
     ])
-    # little-endian complex128 in C order is the interleaved re/im layout
-    data = np.ascontiguousarray(state.amp, dtype="<c16")
-    digest = hashlib.sha256(header)
+    amp = state.amp
+    digest = later(amp.size, partial(_sha256, header, amp))
     with open(path, "wb") as fh:
         fh.write(header)
-        together(data.size, [partial(fh.write, data), partial(digest.update, data)])
+        for chunk in _c16(amp):
+            fh.write(chunk)
+    return digest
+
+
+def save_state(state, path):
+    """write_state, then its digest: the sha256 hex digest of the bytes written."""
+    return write_state(state, path)()
+
+
+def _c16(amp):
+    """The bytes of ``amp`` as little-endian complex128 in C order, which is
+    the interleaved re/im layout: the array itself if it is stored so, else
+    slabs of whole rows along axis 0, about _SLAB elements each, cast into
+    one reused buffer."""
+    if amp.dtype == np.dtype("<c16") and amp.flags.c_contiguous:
+        yield amp
+        return
+    rows = max(1, _SLAB * amp.shape[0] // amp.size)
+    buf = np.empty((min(rows, amp.shape[0]),) + amp.shape[1:], "<c16")
+    for lo in range(0, amp.shape[0], rows):
+        part = buf[:min(rows, amp.shape[0] - lo)]
+        part[...] = amp[lo:lo + rows]
+        yield part
+
+
+def _sha256(header, amp):
+    digest = hashlib.sha256(header)
+    for chunk in _c16(amp):
+        digest.update(chunk)
     return digest.hexdigest()
 
 

@@ -253,6 +253,27 @@ def save_state_interleaved(state, path):
         fh.write(data.tobytes(order="C"))
 
 
+def expectation_per_monomial(s, obs):
+    """phasespace.expectation as a loop that takes one density per monomial,
+    on ``s.diagonal`` of its factors, and adds the monomials in order."""
+    from kvnlab import algebra
+
+    total = 0.0
+    for key, (re, _) in algebra.parse(obs).terms.items():
+        powers = algebra.monomial_factors(key)
+        view = s.diagonal(name for name, _ in powers)
+        dens = view.density()
+        weight = np.ones((), dtype=float)
+        for name, e in powers:
+            idx, _ = view.axis_index(name)
+            vals = view.axis_values(idx) ** e
+            shape = [1] * dens.ndim
+            shape[idx] = len(vals)
+            weight = weight * vals.reshape(shape)
+        total += float(re) * float(np.sum(dens * weight)) * view.cell_measure()
+    return total
+
+
 def kraus_dense(op, member=None):
     """One member of an operator family as a dense matrix on the flattened
     target lattice (working representation), column by column; ``member``

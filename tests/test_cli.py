@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from kvnlab import cli
+from kvnlab import _slabs, cli, stateio
 from kvnlab import phasespace as ps
-from kvnlab.errors import ConfigError, MissingArtifact, ScenarioError
-from kvnlab.stateio import load_state
+from kvnlab.errors import ConfigError, MissingArtifact, ScenarioError, ZeroMassSlice
+from kvnlab.stateio import load_state, save_state
+
+from _oracles import CountingPool
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -148,6 +150,97 @@ def test_manifest_digests_match_files(tmp_path, cfg):
     for f in manifest.files:
         data = (tmp_path / "out" / f["name"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == f["sha256"], f["name"]
+
+
+EVOLVE_256_CFG = dict(
+    EVOLVE_CFG, scenario="evolve", snapshot_every=2,
+    grid={"n_x": 256, "n_p": 256, "x_min": -16.0, "x_max": 16.0, "p_min": -8.0, "p_max": 8.0},
+    hamiltonian={"mass": 1.0, "potential": [0.0, 0.0, 0.5]},
+    plan={"dt": 0.05, "n_steps": 8})
+
+
+@pytest.mark.parametrize("cfg", [EVOLVE_256_CFG, PULSED_CFG, dict(POINTER_CFG, scenario="measure")],
+                         ids=["evolve", "pulsed", "measure"])
+def test_run_returns_resolved_digests(tmp_path, monkeypatch, cfg):
+    # every state of these runs is hashed on the pool while the scenario goes
+    # on; the manifest run returns holds the digests, not pending values
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
+        manifest = cli.run(cfg, tmp_path / "out")
+    states = [f for f in manifest.files if f["name"].endswith(".state")]
+    assert states and all(isinstance(f["sha256"], str) for f in manifest.files)
+    for f in states:
+        data = (tmp_path / "out" / f["name"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == f["sha256"], f["name"]
+
+
+def test_evolve_snapshots_are_the_observed_states(tmp_path, monkeypatch):
+    # a snapshot's hash runs while the flight goes on: the flight never
+    # rewrites an observed array, so each file and digest are those of
+    # save_state of the state as the observer saw it
+    seen = {}
+    kvn_evolve = cli.dyn.kvn_evolve
+
+    def watched(state, h, plan, observer):
+        def observe(step, snap):
+            seen[step + 1] = ps.PhaseState(snap.grid, snap.rep, snap.amp.copy())
+            observer(step, snap)
+        return kvn_evolve(state, h, plan, observer=observe)
+
+    monkeypatch.setattr(cli.dyn, "kvn_evolve", watched)
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
+        manifest = cli.run(EVOLVE_256_CFG, tmp_path / "out")
+    monkeypatch.setattr(_slabs, "_pool", (None, 1))
+    snaps = [f for f in manifest.files if f["name"].startswith("state_")]
+    assert len(snaps) == 4
+    for f in snaps:
+        ref = tmp_path / "ref.state"
+        digest = save_state(seen[int(f["name"][6:12])], ref)
+        assert (tmp_path / "out" / f["name"]).read_bytes() == ref.read_bytes()
+        assert f["sha256"] == digest
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+@pytest.mark.parametrize("scenario", ["pulsed", "measure"])
+def test_failed_run_lists_the_state_it_wrote(tmp_path, monkeypatch, scenario, cores):
+    # the scenario fails after it wrote its state, maybe while the state is
+    # still being hashed: the failed manifest lists the file with its digest
+    def fail(*args):
+        raise ZeroMassSlice("failed after the state")
+
+    if scenario == "pulsed":
+        cfg, name = PULSED_CFG, "final.state"
+        monkeypatch.setattr(cli, "_moments", fail)
+    else:
+        cfg, name = dict(POINTER_CFG, scenario="measure"), "coupled.state"
+        monkeypatch.setattr(cli.ms, "check_simultaneity", fail)
+    out = tmp_path / "fail"
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2) if cores == 2 else (None, 1))
+        with pytest.raises(ScenarioError, match="failed after the state"):
+            cli.run(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"].startswith("failed")
+    assert name in [f["name"] for f in manifest["files"]]
+    assert sorted(f["name"] for f in manifest["files"]) == sorted(p.name for p in out.iterdir()
+                                                                  if p.name != "manifest.json")
+    for f in manifest["files"]:
+        assert f["sha256"] == hashlib.sha256((out / f["name"]).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_hash_error_is_the_run_error(tmp_path, monkeypatch, cores):
+    # with a pool the error surfaces when the manifest resolves the digest,
+    # on one core inside the scenario; either way the run raises it
+    def fail(*args):
+        raise RuntimeError("hash failed")
+
+    monkeypatch.setattr(stateio, "_sha256", fail)
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2) if cores == 2 else (None, 1))
+        with pytest.raises(RuntimeError, match="hash failed"):
+            cli.run(PULSED_CFG, tmp_path / "out")
 
 
 def test_run_evolve_point_state_trajectory(tmp_path):

@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvnlab import _slabs
 from kvnlab import algebra as al
 from kvnlab import phasespace as ps
+from kvnlab import stateio
+from kvnlab import uncertainty as un
 from kvnlab.errors import (
     NonHermitianObservable,
     OutOfBounds,
@@ -19,9 +22,11 @@ from kvnlab.errors import (
     UnsupportedObservable,
     ZeroMassSlice,
 )
-from kvnlab.stateio import export_density_csv, load_state, save_state, write_csv, write_json
+from kvnlab.stateio import (export_density_csv, load_state, save_state, write_csv, write_json,
+                            write_state)
 
-from _oracles import CountingPool, save_state_interleaved, to_conjugate, to_coordinate
+from _oracles import (CountingPool, expectation_per_monomial, save_state_interleaved,
+                      to_conjugate, to_coordinate)
 
 
 @pytest.fixture
@@ -262,6 +267,51 @@ def test_expectation_rejects_names_without_an_axis_and_complex_coefficients(grid
             ps.expectation(s, obs)
 
 
+def test_expectation_takes_one_density_per_representation(grid, monkeypatch):
+    # monomials diagonal in one representation share its density: x, p,
+    # their squares and their product are all diagonal in xp
+    s = ps.make_gaussian(grid, 0.4, -0.3, 1.0, 1.2)
+    device = ps.make_gaussian(grid, 0.1, 0.2, 0.9, 1.1)
+    calls = []
+    density = ps._Field.density
+    monkeypatch.setattr(ps._Field, "density", lambda self: calls.append(self.rep) or density(self))
+    ps.variance(s, "x + p")
+    assert calls == ["xp"]  # 5 with a density per monomial
+    calls.clear()
+    ps.expectation(s, "x + pi_x^2 + p + x*pi_p + 2*pi_x*p - 0.5")
+    assert sorted(calls) == ["pix_p", "x_pip", "xp"]
+    calls.clear()
+    un.error_disturbance(s, device, 1.0)
+    assert len(calls) == 11  # 14 with a density per monomial
+
+
+def test_expectation_equals_per_monomial_loop(grid):
+    # sharing a density changes no bit: each monomial's sum is the same, and
+    # the monomials are added in the same order
+    rng = np.random.default_rng(23)
+    target = ps.make_gaussian(grid, 0.4, -0.3, 1.0, 1.2)
+    device = ps.to_representation(random_state(grid, rng), "x_pip")
+    cases = [
+        (target, ["x + p", "3*x - p + 0.25", "pi_x + 2*pi_p",
+                  "x + pi_x^2 + p + x*pi_p + 2*pi_x*p - 0.5"]),
+        (random_state(grid, rng), ["x + p", "x - pi_p", "pi_x*pi_p + x^2 - p"]),
+        (ps.to_representation(random_state(grid, rng), "pix_pip"), ["x + p", "pi_x - 3*p"]),
+    ]
+    small = ps.Grid2D(32, 32, -8.0, 8.0, -8.0, 8.0)
+    pair = ps.product_state(ps.make_gaussian(small, 0.4, -0.3, 1.0, 1.2),
+                            ps.to_representation(random_state(small, rng), "x_pip"))
+    cases.append((pair, ["x + X", "P - 2*pi_p", "X*P + pi_x^2 - 2*x*X"]))
+    for s, observables in cases:
+        for obs in observables:
+            assert ps.expectation(s, obs) == expectation_per_monomial(s, obs), obs
+            expr = al.parse(obs)
+            if any(sum(e for _, e in al.monomial_factors(k)) > 1 for k in expr.terms):
+                continue  # its square is above degree 2
+            m1 = expectation_per_monomial(s, expr)
+            m2 = expectation_per_monomial(s, al.multiply(expr, expr))
+            assert ps.variance(s, obs) == max(m2 - m1 * m1, 0.0), obs
+
+
 def test_marginal_total_mass(grid):
     rng = np.random.default_rng(3)
     s = random_state(grid, rng)
@@ -425,6 +475,95 @@ def test_save_state_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
         finally:
             release.set()
     assert pool.submitted == 2
+
+
+def _states_around_the_pool_threshold(rng):
+    """2D float64, 2D complex and 4D states, above and below PARALLEL_MIN."""
+    big, small = (ps.Grid2D(n, n, -16.0, 16.0, -8.0, 8.0) for n in (256, 64))
+    g32, g8 = (ps.Grid2D(n, n, -4.0, 4.0, -4.0, 4.0) for n in (32, 8))
+
+    def cplx(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return [ps.PhaseState(big, "xp", rng.standard_normal((256, 256))),
+            ps.PhaseState(small, "xp", rng.standard_normal((64, 64))),
+            ps.PhaseState(big, "x_pip", cplx((256, 256))),
+            ps.PhaseState(small, "pix_p", cplx((64, 64))),
+            ps.BipartiteState(g32, g32, (False, True, True, False), cplx((32,) * 4)),
+            ps.BipartiteState(g8, g8, (True, False, False, True), cplx((8,) * 4))]
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_pending_digest_is_the_sha256_of_the_file(tmp_path, monkeypatch, cores):
+    # every state is written before any digest is asked for; with a pool the
+    # states from 2**16 elements up are hashed on it meanwhile.  A float64
+    # amplitude is written as its complex128 cast
+    states = _states_around_the_pool_threshold(np.random.default_rng(18))
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2) if cores == 2 else (None, 1))
+        digests = [write_state(s, tmp_path / f"{i}.state") for i, s in enumerate(states)]
+        submitted = pool.submitted
+        for i, (s, digest) in enumerate(zip(states, digests)):
+            data = (tmp_path / f"{i}.state").read_bytes()
+            assert digest() == hashlib.sha256(data).hexdigest()
+            save_state_interleaved(s, tmp_path / f"{i}.ref")
+            assert data == (tmp_path / f"{i}.ref").read_bytes()
+    big = sum(s.amp.size >= _slabs.PARALLEL_MIN for s in states)
+    assert big == 3 and submitted == (big if cores == 2 else 0)
+
+
+def test_float_state_is_written_without_a_cast_copy(tmp_path, monkeypatch):
+    # a 256^2 float64 amplitude is cast to <c16 through a small buffer, not
+    # into a 1 MiB array; on one core the write and the hash each take one
+    s = _states_around_the_pool_threshold(np.random.default_rng(19))[0]
+    monkeypatch.setattr(_slabs, "_pool", (None, 1))
+    tracemalloc.start()
+    try:
+        save_state(s, tmp_path / "f.state")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.amp.nbytes
+
+
+def test_pending_digest_lets_go_of_the_amplitude(tmp_path, monkeypatch):
+    # once the pool has hashed it, a pending digest holds no reference to the
+    # state's amplitude: a snapshot is freed when the flight lets go of it
+    import weakref
+
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
+        s = _states_around_the_pool_threshold(np.random.default_rng(20))[0]
+        alive = weakref.ref(s.amp)
+        digest = write_state(s, tmp_path / "f.state")
+        del s
+        value = digest()
+        assert alive() is None
+        assert digest() == value == hashlib.sha256((tmp_path / "f.state").read_bytes()).hexdigest()
+
+
+def test_pending_digest_does_not_wait_for_a_busy_pool(tmp_path, monkeypatch):
+    # write_state returns while the pool thread is busy with another task;
+    # asking for the digest then hashes on the calling thread
+    import threading
+
+    release = threading.Event()
+    hashed_on = []
+    sha256 = stateio._sha256
+    monkeypatch.setattr(stateio, "_sha256", lambda *a: hashed_on.append(
+        threading.get_ident()) or sha256(*a))
+    s = _states_around_the_pool_threshold(np.random.default_rng(21))[2]
+    path = tmp_path / "big.state"
+    with CountingPool(1) as pool:
+        busy = pool.submit(release.wait, 10.0)
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2))
+        try:
+            digest = write_state(s, path)
+            assert hashed_on == [] and pool.submitted == 2
+            assert digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert hashed_on == [threading.get_ident()] and not busy.done()
+        finally:
+            release.set()
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (256, 256), (32,) * 4], ids=["64^2", "256^2", "32^4"])
