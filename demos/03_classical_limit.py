@@ -7,7 +7,7 @@ the classical propagator is first order in hbar, so halving hbar halves the
 L2 distance.
 """
 
-from kvnlab import Grid2D, HamiltonianSpec, classical_limit_scan, make_gaussian
+from kvnlab import Grid2D, HamiltonianSpec, PropagationPlan, classical_limit_scan, make_gaussian
 from kvnlab.algebra import DEFORM_CONVENTIONS, commutator, deformed_pair
 
 # the deformed pairs and their commutators, exactly
@@ -21,7 +21,8 @@ grid = Grid2D(128, 128, -12.0, 12.0, -6.0, 6.0)
 state = make_gaussian(grid, 0.0, 1.0, 1.0, 0.5)
 h = HamiltonianSpec.free(1.0)
 
-scan = classical_limit_scan(state, h, t=1.0, hbars=[0.0, 0.4, 0.2, 0.1, 0.05], n_steps=50)
+plan = PropagationPlan(dt=1.0 / 50, n_steps=50)
+scan = classical_limit_scan(state, h, plan, hbars=[0.0, 0.4, 0.2, 0.1, 0.05])
 print("free particle, t = 1, full_appendixE convention:")
 print(f"{'hbar':>8} {'L2 deviation':>14}")
 for hbar, dev in scan:

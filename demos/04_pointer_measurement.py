@@ -15,7 +15,6 @@ import numpy as np
 from kvnlab import Grid2D, make_gaussian, make_point, marginal
 from kvnlab.measurement import (
     check_simultaneity,
-    pointer_instantiated_residual,
     quantum_gaussian,
     quantum_pointer_couple,
     quantum_readout,
@@ -34,8 +33,7 @@ record = readout(after, "X")
 mean_X = float((record.values * record.probabilities).sum())
 print(f"pointer mean after coupling: {mean_X:+.4f}  (target <x> = +0.3)")
 
-r1, r2 = check_simultaneity(after, target, device)
-r_inst = pointer_instantiated_residual(after, target)
+r1, r2, r_inst = check_simultaneity(after, target, device)
 print("\nclassical model")
 print(f"  proposition 1 (pointer tracks x)      residual: {r1:.2e}")
 print(f"  proposition 2 (momentum kicked by -P) residual: {r2:.2e}")

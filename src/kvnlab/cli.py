@@ -159,18 +159,13 @@ def _hamiltonian(cfg, key, required=True):
     return _built(key, dyn.HamiltonianSpec, mass=mass, **terms)
 
 
-def _plan(cfg):
-    """The PropagationPlan and the deformation convention of ``plan``."""
-    sec = _section(cfg, "plan", ("dt", "n_steps", "splitting", "hbar", "convention"))
-    plan = _built("plan", dyn.PropagationPlan,
+def _plan(cfg, extra=()):
+    """The PropagationPlan of ``plan``, whose other keys are ``extra``."""
+    sec = _section(cfg, "plan", ("dt", "n_steps", "splitting", *extra))
+    return _built("plan", dyn.PropagationPlan,
                   dt=_value(sec, "plan", "dt", float),
                   n_steps=_value(sec, "plan", "n_steps", int),
-                  splitting=_value(sec, "plan", "splitting", str, "strang"),
-                  hbar=_value(sec, "plan", "hbar", float, 0.0))
-    convention = _value(sec, "plan", "convention", str, "full_appendixE")
-    if convention not in dyn.DEFORM_CONVENTIONS:
-        _fail("plan.convention", f"unknown convention {convention!r}")
-    return plan, convention
+                  splitting=_value(sec, "plan", "splitting", str, "strang"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +192,18 @@ class RunManifest:
         which write resolves.  Every run file is recorded as it is written."""
         self.files.append({"name": path.name, "sha256": digest})
 
-    def write(self, out_dir: Path):
-        """Write manifest.json, once every pending digest is resolved in
-        record order; an error its hash raised propagates from here."""
+    def write(self, out_dir: Path, error=None):
+        """Write manifest.json once every pending digest is resolved in
+        record order, and return the run's error: ``error``, or else the
+        first error a hash raised.  A digest whose hash raised is written as
+        null, and the status is ok or failed with the run's error."""
         for f in self.files:
             if callable(f["sha256"]):
-                f["sha256"] = f["sha256"]()
+                try:
+                    f["sha256"] = f["sha256"]()
+                except Exception as exc:
+                    f["sha256"], error = None, error or exc
+        self.status = "ok" if error is None else f"failed: {error}"
         self.finished = _utcnow()
         payload = {
             "scenario": self.scenario,
@@ -214,6 +215,7 @@ class RunManifest:
             "files": sorted(self.files, key=lambda f: f["name"]),
         }
         write_json(out_dir / "manifest.json", payload)
+        return error
 
 
 def _utcnow():
@@ -251,9 +253,7 @@ def _scenario_evolve(cfg, out, seed, manifest):
     grid = _grid(cfg)
     h = _hamiltonian(cfg, "hamiltonian")
     state = _state(cfg, "initial_state", grid)
-    plan, _ = _plan(cfg)
-    if plan.hbar != 0.0:
-        _fail("plan.hbar", "evolve is the classical scenario; use qm_compare for hbar > 0")
+    plan = _plan(cfg)
     snapshot_every = _value(cfg, "", "snapshot_every", int, 0)
     if snapshot_every < 0:
         _fail("snapshot_every", "must be >= 0")
@@ -285,12 +285,12 @@ def _scenario_qm_compare(cfg, out, seed, manifest):
     for i, hbar in enumerate(hbars):
         if hbar < 0:
             _fail(f"hbars[{i}]", "must be >= 0")
-    plan, convention = _plan(cfg)
+    plan = _plan(cfg, ("convention",))
+    convention = _value(cfg["plan"], "plan", "convention", str, "full_appendixE")
+    if convention not in dyn.DEFORM_CONVENTIONS:
+        _fail("plan.convention", f"unknown convention {convention!r}")
 
-    scan = dyn.classical_limit_scan(
-        state, h, plan.dt * plan.n_steps, hbars,
-        n_steps=plan.n_steps, convention=convention,
-    )
+    scan = dyn.classical_limit_scan(state, h, plan, hbars, convention=convention)
     manifest.record(path := out / "scan.csv", write_csv(path, ("hbar", "l2_deviation"), scan))
 
 
@@ -308,8 +308,7 @@ def _scenario_measure(cfg, out, seed, manifest):
         path, target_grid=repr(grid), device_grid=repr(grid), coupling_duration=1.0))
     manifest.record(path := out / "coupled.state", write_state(after, path))
 
-    r1, r2 = ms.check_simultaneity(after, target, device)
-    classical_inst = ms.pointer_instantiated_residual(after, target)
+    r1, r2, classical_inst = ms.check_simultaneity(after, target, device)
     qx = grid.x_axis
     phi_q = _quantum_profile(cfg["target_state"], qx)
     eta_q = _quantum_profile(cfg["device_state"], qx)
@@ -421,9 +420,14 @@ def _scenario_pulsed(cfg, out, seed, manifest):
     eps = _value(cfg, "", "eps", float)
     t1 = _value(cfg, "", "t1", float)
     t_total = _value(cfg, "", "t_total", float)
-    plan, _ = _plan(cfg)
+    plan = _plan(cfg)
     if not 0.0 < t1 < t_total:
         _fail("t1", "need 0 < t1 < t_total")
+    # the steps pulsed_propagator runs before and after the pulse
+    steps = (dyn._step_count(t1, plan.dt), dyn._step_count(t_total - t1, plan.dt))
+    if plan.n_steps != sum(steps):
+        _fail("plan.n_steps", "the flights to t1 and t_total take {} + {} steps of dt = {:g}, "
+              "not {}".format(*steps, plan.dt, plan.n_steps))
 
     initial = ps.product_state(target, device)
     final = dyn.pulsed_propagator(initial, h_t, h_d, eps, t1, t_total, plan)
@@ -461,8 +465,9 @@ def run(config, out_dir, seed=None):
     """Validate and execute one experiment; returns the RunManifest.
 
     A ``seed`` argument wins over ``config["seed"]``, which wins over 0.
-    The manifest is written even when the scenario fails (status records
-    the failure); configuration errors abort before any output.
+    The manifest is written even when the scenario or a state hash fails
+    (status records the failure) before the error propagates, a kvnlab
+    error as ScenarioError; configuration errors abort before any output.
     """
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
@@ -485,18 +490,20 @@ def run(config, out_dir, seed=None):
         started=_utcnow(),
         out_dir=str(out),
     )
+    error = None
     try:
         runner(config, out, seed, manifest)
     except ConfigError:
         for p in (out, *out.parents)[:made]:  # no file is written before a config error
             p.rmdir()
         raise
-    except KvnLabError as exc:
-        manifest.status = f"failed: {exc}"
-        manifest.write(out)
-        raise ScenarioError(f"{scenario}: {exc}") from exc
-    manifest.status = "ok"
-    manifest.write(out)
+    except Exception as exc:
+        error = exc
+    error = manifest.write(out, error)
+    if isinstance(error, KvnLabError):
+        raise ScenarioError(f"{scenario}: {error}") from error
+    if error is not None:
+        raise error
     return manifest
 
 

@@ -143,12 +143,11 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class PropagationPlan:
-    """Time step, step count, splitting order, and the deformation hbar."""
+    """Time step, step count and splitting order: what every propagator reads."""
 
     dt: float
     n_steps: int
     splitting: str = "strang"
-    hbar: float = 0.0
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -157,8 +156,6 @@ class PropagationPlan:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.splitting not in ("strang", "lie"):
             raise ValueError(f"unknown splitting {self.splitting!r}")
-        if self.hbar < 0:
-            raise ValueError("hbar must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -543,9 +540,14 @@ def _split_step(generators, dt, splitting):
     return half + kinetic + half
 
 
+def _step_count(duration, dt):
+    """How many split steps of about ``dt`` make up ``duration``."""
+    return max(1, round(duration / dt))
+
+
 def _flight(generators, duration, plan):
     """Split steps of about ``plan.dt`` that make up ``duration``."""
-    n = max(1, round(duration / plan.dt))
+    n = _step_count(duration, plan.dt)
     return [_split_step(generators, duration / n, plan.splitting)] * n
 
 
@@ -557,28 +559,6 @@ def _coupling(axes, lam_t):
         _Shear(2, _along(axes[0].coords(), 0, 4), lam_t, label="pointer shift",
                error=ShiftOverflow),
     ]
-
-
-def _evolve_2d(s, h, plan, a, b, observer, check_stability):
-    grid, hbar = s.grid, plan.hbar
-    step = _split_step(_generators(s.axes(), ((0, h),), hbar, a, b), plan.dt, plan.splitting)
-    band_check = check_stability and hbar != 0.0
-    band = boundary_mass(s) if band_check else 0.0
-
-    def after_step(i, amp):
-        nonlocal band
-        state = PhaseState(grid, "xp", amp)
-        if band_check:
-            new_band = boundary_mass(state)
-            if not new_band - band <= _BOUNDARY_GROWTH_LIMIT:  # a NaN growth fails too
-                raise UnstablePlan(f"boundary mass grew by {new_band - band:.3e} in step {i}")
-            band = new_band
-        if observer is not None:
-            observer(i, state)
-
-    watched = observer is not None or band_check
-    return _propagate(s, [step] * plan.n_steps, after_step if watched else None,
-                      check_wrap=check_stability and hbar == 0.0)
 
 
 def kvn_evolve(s, h, plan, observer=None, check_stability=True):
@@ -594,25 +574,43 @@ def kvn_evolve(s, h, plan, observer=None, check_stability=True):
     the pass that would drop more.  Raises UnstablePlan when a shear would
     wrap more than 1e-6 of the probability around the periodic box.
     """
-    if plan.hbar != 0.0:
-        raise ValueError("kvn_evolve requires a plan with hbar=0")
-    return _evolve_2d(s, h, plan, -1.0, 1.0, observer, check_stability)
+    return qm_evolve(s, h, plan, 0.0, observer=observer, check_stability=check_stability)
 
 
-def qm_evolve(s, h, plan, convention="full_appendixE", observer=None, check_stability=True):
+def qm_evolve(s, h, plan, hbar, convention="full_appendixE", observer=None,
+              check_stability=True):
     """Propagate with the hbar-deformed generator H(x_h, p_h).
 
-    ``plan.hbar == 0`` degenerates to kvn_evolve exactly, real path
-    included; for hbar > 0 a quadratic T or V adds pi^2 terms that keep the
-    flight on the complex path.  The sign convention fixes (a, b) in
-    x_h = x + a*hbar*pi_p, p_h = p + b*hbar*pi_x.  For hbar > 0, raises
-    UnstablePlan when one step grows the boundary-shell mass by more than
-    1e-6.
+    ``hbar == 0`` is kvn_evolve, real path included; for hbar > 0 a
+    quadratic T or V adds pi^2 terms that keep the flight on the complex
+    path.  The sign convention fixes (a, b) in x_h = x + a*hbar*pi_p,
+    p_h = p + b*hbar*pi_x.  Raises ValueError for hbar < 0; for hbar > 0,
+    raises UnstablePlan when one step grows the boundary-shell mass by more
+    than 1e-6.
     """
+    if not hbar >= 0:
+        raise ValueError(f"hbar must be >= 0, got {hbar}")
     if convention not in DEFORM_CONVENTIONS:
         raise ValueError(f"unknown deformation convention {convention!r}")
-    a, b = DEFORM_CONVENTIONS[convention] if plan.hbar else (-1.0, 1.0)
-    return _evolve_2d(s, h, plan, a, b, observer, check_stability)
+    a, b = DEFORM_CONVENTIONS[convention] if hbar else (-1.0, 1.0)
+    step = _split_step(_generators(s.axes(), ((0, h),), hbar, a, b), plan.dt, plan.splitting)
+    band_check = check_stability and hbar != 0.0
+    band = boundary_mass(s) if band_check else 0.0
+
+    def after_step(i, amp):
+        nonlocal band
+        state = PhaseState(s.grid, "xp", amp)
+        if band_check:
+            new_band = boundary_mass(state)
+            if not new_band - band <= _BOUNDARY_GROWTH_LIMIT:  # a NaN growth fails too
+                raise UnstablePlan(f"boundary mass grew by {new_band - band:.3e} in step {i}")
+            band = new_band
+        if observer is not None:
+            observer(i, state)
+
+    watched = observer is not None or band_check
+    return _propagate(s, [step] * plan.n_steps, after_step if watched else None,
+                      check_wrap=check_stability and hbar == 0.0)
 
 
 def couple_evolve(s, coupling, t, check_wrap=True):
@@ -670,20 +668,18 @@ def pulsed_propagator(s, h_target, h_device, eps, t1, t_total, plan):
                       + _flight(generators, t_total - t1, plan))
 
 
-def classical_limit_scan(s, h, t, hbars, n_steps=200, convention="full_appendixE"):
+def classical_limit_scan(s, h, plan, hbars, convention="full_appendixE"):
     """L2 deviation of the deformed propagator from the classical one.
 
-    Returns [(hbar, deviation)] with the same step schedule for every run.
+    Returns [(hbar, deviation)]; every flight, the classical reference
+    included, runs on ``plan``.
     """
-    dt = float(t) / n_steps
-    base_plan = PropagationPlan(dt=dt, n_steps=n_steps, hbar=0.0)
-    ref = kvn_evolve(s, h, base_plan)
+    ref = kvn_evolve(s, h, plan)
     out = []
     for hb in hbars:
         if hb == 0.0:
             out.append((0.0, 0.0))
             continue
-        plan = PropagationPlan(dt=dt, n_steps=n_steps, hbar=float(hb))
-        evolved = qm_evolve(s, h, plan, convention=convention)
+        evolved = qm_evolve(s, h, plan, float(hb), convention=convention)
         out.append((float(hb), l2_distance(evolved, ref)))
     return out

@@ -152,12 +152,16 @@ def check_simultaneity(
     device_init: PhaseState,
     mass_floor=_MASS_FLOOR,
 ):
-    """Residuals of the two relative-state propositions on the coupled state.
+    """Residuals of the relative-state propositions on the coupled state.
 
     prop1: the device X-conditional given target x equals the initial device
     X-marginal shifted by +x.  prop2: the target p-conditional given device
-    P equals the initial target p-marginal shifted by -P.  Both residuals
-    are max-over-cell L1 distances, skipping cells below the mass floor.
+    P equals the initial target p-marginal shifted by -P.  instantiated:
+    prop2 after instantiating prop1, on the coupled state conditioned on the
+    modal pointer cell (the needle has been read); classically it survives
+    the readout, and it is the probe the quantum model fails.  All three
+    are max-over-cell L1 distances, skipping cells below the mass floor,
+    and come from one joint density.  Returns (prop1, prop2, instantiated).
     """
     _require_matched(target_init.grid.x_axis, device_init.grid.x_axis, "x/X")
     _require_matched(target_init.grid.p_axis, device_init.grid.p_axis, "p/P")
@@ -167,25 +171,10 @@ def check_simultaneity(
     joint = joint_density(s_after, s_after.axis_names)
     xX = joint.marginalize(("x", "X"))
     res1 = _shifted_residual(xX.array, xX.values[0], xX.measures, ref_X.array, 1, mass_floor)
-    return res1, _prop2_residual(joint, target_init, mass_floor)
-
-
-def pointer_instantiated_residual(
-    s_after: BipartiteState,
-    target_init: PhaseState,
-    mass_floor=_MASS_FLOOR,
-) -> float:
-    """Proposition-2 residual after instantiating proposition 1.
-
-    Conditions the coupled state on the modal pointer cell (the needle has
-    been read), then asks whether the target p-conditional given device P
-    still equals the shifted initial p-marginal.  Classically this survives
-    the readout; it is the probe the quantum model fails.
-    """
-    joint = joint_density(s_after, s_after.axis_names)
     pointer = joint.marginalize(("X",))
     X0 = pointer.values[0][int(np.argmax(pointer.array))]
-    return _prop2_residual(joint.condition("X", X0), target_init, mass_floor)
+    return (res1, _prop2_residual(joint, target_init, mass_floor),
+            _prop2_residual(joint.condition("X", X0), target_init, mass_floor))
 
 
 def _prop2_residual(dens, target_init, mass_floor):

@@ -367,7 +367,7 @@ def shifted_residual_loop(joint, cond_axis, ref, sign, mass_floor):
 
 
 def simultaneity_loop(s_after, target_init, device_init, mass_floor):
-    """check_simultaneity's two residuals, cell by cell."""
+    """check_simultaneity's prop1 and prop2 residuals, cell by cell."""
     from kvnlab.phasespace import marginal
 
     return (
@@ -379,7 +379,8 @@ def simultaneity_loop(s_after, target_init, device_init, mass_floor):
 
 
 def instantiated_residual_loop(s_after, target_init, mass_floor):
-    """pointer_instantiated_residual, cell by cell after the modal pointer cell."""
+    """check_simultaneity's instantiated residual, cell by cell after the modal
+    pointer cell."""
     from kvnlab.phasespace import conditional, marginal
 
     pointer = marginal(s_after, ("X",))

@@ -162,7 +162,7 @@ def test_criterion_5_simultaneity_contrast():
     for _ in range(10):
         target, device = draw(), draw()
         after = ms.von_neumann_couple(target, device)
-        r1, r2 = ms.check_simultaneity(after, target, device)
+        r1, r2, _ = ms.check_simultaneity(after, target, device)
         classical_ok = classical_ok and r1 < 1e-6 and r2 < 1e-6
 
     axis = ps.Axis(128, -8.0, 8.0)
@@ -242,7 +242,8 @@ def test_criterion_8_classical_limit():
     grid = ps.Grid2D(128, 128, -12.0, 12.0, -6.0, 6.0)
     state = ps.make_gaussian(grid, 0.0, 1.0, 1.0, 0.5)
     h = dyn.HamiltonianSpec.free(1.0)
-    scan = dyn.classical_limit_scan(state, h, 1.0, [0.0, 0.2, 0.1, 0.05], n_steps=50)
+    scan = dyn.classical_limit_scan(state, h, dyn.PropagationPlan(1.0 / 50, 50),
+                                    [0.0, 0.2, 0.1, 0.05])
     zero_exact = scan[0][1] == 0.0
     devs = [dev for _, dev in scan[1:]]
     monotone = devs[0] > devs[1] > devs[2]

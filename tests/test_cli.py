@@ -237,10 +237,40 @@ def test_hash_error_is_the_run_error(tmp_path, monkeypatch, cores):
         raise RuntimeError("hash failed")
 
     monkeypatch.setattr(stateio, "_sha256", fail)
+    out = tmp_path / "out"
     with CountingPool(1) as pool:
         monkeypatch.setattr(_slabs, "_pool", (pool, 2) if cores == 2 else (None, 1))
         with pytest.raises(RuntimeError, match="hash failed"):
-            cli.run(PULSED_CFG, tmp_path / "out")
+            cli.run(PULSED_CFG, out)
+    # the failed manifest is written all the same: with a pool it lists the
+    # state with no digest and pulsed.json, written while the state was being
+    # hashed; on one core the hash failed before the state was written
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed: hash failed"
+    digests = {f["name"]: f["sha256"] for f in manifest["files"]}
+    assert sorted(digests) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert digests == ({} if cores == 1 else {
+        "final.state": None,
+        "pulsed.json": hashlib.sha256((out / "pulsed.json").read_bytes()).hexdigest()})
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_any_scenario_error_writes_the_manifest(tmp_path, monkeypatch, cores):
+    # an error that is no kvnlab error, as a full disk raises, keeps its type
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_moments", fail)
+    out = tmp_path / "out"
+    with CountingPool(1) as pool:
+        monkeypatch.setattr(_slabs, "_pool", (pool, 2) if cores == 2 else (None, 1))
+        with pytest.raises(OSError, match="No space left on device"):
+            cli.run(PULSED_CFG, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed: [Errno 28] No space left on device"
+    (f,) = manifest["files"]
+    assert f == {"name": "final.state",
+                 "sha256": hashlib.sha256((out / "final.state").read_bytes()).hexdigest()}
 
 
 def test_run_evolve_point_state_trajectory(tmp_path):
@@ -338,10 +368,24 @@ ORIGIN_MESSAGE = "grid: axis must contain 0 for pointer-difference kernels"
     ("measure", dict(POINTER_CFG, grid=OFF_ZERO_GRID), ORIGIN_MESSAGE),
     ("kraus", dict(POINTER_CFG, grid=OFF_ZERO_GRID), ORIGIN_MESSAGE),
     ("uncertainty", dict(POINTER_CFG, t_values=[]), "t_values: must not be empty without an ensemble"),
+    # a plan takes only the keys its scenario reads
+    ("evolve", dict(EVOLVE_CFG, plan={"dt": 0.1, "n_steps": 10, "hbar": 0.0}),
+     "plan.hbar: unknown key"),
+    ("evolve", dict(EVOLVE_CFG, plan={"dt": 0.1, "n_steps": 10, "convention": "full_appendixE"}),
+     "plan.convention: unknown key"),
+    ("qm_compare", dict(QM_CFG, plan={"dt": 0.1, "n_steps": 10, "hbar": 0.1}),
+     "plan.hbar: unknown key"),
+    ("pulsed", dict(PULSED_CFG, plan={"dt": 0.05, "n_steps": 20, "hbar": 0.5}),
+     "plan.hbar: unknown key"),
+    ("pulsed", dict(PULSED_CFG, plan={"dt": 0.05, "n_steps": 20, "convention": "half_plus_plus"}),
+     "plan.convention: unknown key"),
+    ("pulsed", dict(PULSED_CFG, plan={"dt": 0.05, "n_steps": 999}),
+     "plan.n_steps: the flights to t1 and t_total take 8 + 12 steps of dt = 0.05, not 999"),
 ], ids=["hbars-str", "hbars-null", "hbars-negative", "hbars-inf", "hbars-true", "hbars-empty",
         "t_values-str", "t_values-nan", "members-negative", "kinetic-str", "potential-str",
         "potential-nan", "mass-inf", "eps-nan", "eps-inf", "measure-off-zero", "kraus-off-zero",
-        "t_values-empty"])
+        "t_values-empty", "evolve-plan-hbar", "evolve-plan-convention", "qm_compare-plan-hbar",
+        "pulsed-plan-hbar", "pulsed-plan-convention", "pulsed-n_steps"])
 def test_malformed_value_named(tmp_path, capsys, scenario, cfg, message):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "runs" / "out"
@@ -448,6 +492,18 @@ def test_measure_scenario_contrast(tmp_path):
     assert sim["quantum_instantiated_residual"] > 0.1
 
 
+def test_measure_takes_two_joint_densities(tmp_path, monkeypatch):
+    # one 4D density for the readout and one for all three classical
+    # relative-state residuals
+    calls = []
+    density = ps._Field.density
+    monkeypatch.setattr(ps._Field, "density",
+                        lambda self: calls.append(self.amp.ndim) or density(self))
+    grid = dict(POINTER_CFG["grid"], n_x=64, n_p=64)
+    cli.run(dict(POINTER_CFG, scenario="measure", grid=grid), tmp_path / "m")
+    assert calls.count(4) == 2
+
+
 @pytest.mark.parametrize("label_rep", ["X_P", "X_piP", "piX_P", "piX_piP"])
 def test_kraus_scenario(tmp_path, label_rep):
     manifest = cli.run(dict(POINTER_CFG, scenario="kraus", label_rep=label_rep), tmp_path / "k")
@@ -520,6 +576,23 @@ def test_qm_compare_scenario(tmp_path):
     devs = [d for _, d in rows[1:]]
     assert devs[0] > devs[1] > devs[2]
     assert devs[1] / devs[0] <= 0.7 and devs[2] / devs[1] <= 0.7
+
+
+def test_qm_compare_runs_the_plan_splitting(tmp_path):
+    # with a potential, Lie and Strang flights differ; the scan is that of
+    # classical_limit_scan on the configured plan
+    cfg = dict(QM_CFG, scenario="qm_compare", hamiltonian={"mass": 1.0, "potential": [0, 0, 0.5]},
+               plan={"dt": 0.05, "n_steps": 10})
+    cli.run(cfg, tmp_path / "strang")
+    cli.run(dict(cfg, plan={"dt": 0.05, "n_steps": 10, "splitting": "lie"}), tmp_path / "lie")
+    strang, lie = ((tmp_path / d / "scan.csv").read_text() for d in ("strang", "lie"))
+    assert lie != strang
+    state = ps.make_gaussian(ps.Grid2D(**cfg["grid"]), -2.0, 1.5, 1.0, 0.5)
+    scan = cli.dyn.classical_limit_scan(state, cli.dyn.HamiltonianSpec.harmonic(),
+                                        cli.dyn.PropagationPlan(0.05, 10, "lie"), cfg["hbars"])
+    ref = tmp_path / "scan.csv"
+    stateio.write_csv(ref, ("hbar", "l2_deviation"), scan)
+    assert lie == ref.read_text()
 
 
 def test_scenario_mismatch_and_bad_json(tmp_path, capsys):

@@ -58,6 +58,11 @@ def test_plan_validation():
         dyn.PropagationPlan(dt=0.1, n_steps=0)
     with pytest.raises(ValueError):
         dyn.PropagationPlan(dt=0.1, n_steps=1, splitting="euler")
+    # hbar is an argument of the deformed flight, not a field of the plan
+    s = ps.make_gaussian(ps.Grid2D(16, 16, -4.0, 4.0, -4.0, 4.0), 0.0, 0.0, 1.0, 1.0)
+    for hbar in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="hbar must be >= 0"):
+            dyn.qm_evolve(s, dyn.HamiltonianSpec.free(1.0), dyn.PropagationPlan(0.1, 1), hbar)
 
 
 def test_zero_hamiltonian_identity(grid):
@@ -70,7 +75,7 @@ def test_static_hamiltonian_returns_xp(grid):
     s = ps.to_representation(ps.make_gaussian(grid, 1.0, 0.5, 1.0, 0.5), "pix_p")
     zero = dyn.HamiltonianSpec.zero()
     for out in (dyn.kvn_evolve(s, zero, dyn.PropagationPlan(0.1, 3)),
-                dyn.qm_evolve(s, zero, dyn.PropagationPlan(0.1, 3, hbar=0.2))):
+                dyn.qm_evolve(s, zero, dyn.PropagationPlan(0.1, 3), 0.2)):
         assert out.rep == "xp"
         assert ps.l2_distance(out, s) < 1e-12
 
@@ -78,8 +83,9 @@ def test_static_hamiltonian_returns_xp(grid):
 def test_qm_evolve_static_calls_observer(grid):
     s = ps.make_gaussian(grid, 1.0, 0.5, 1.0, 0.5)
     seen = []
-    plan = dyn.PropagationPlan(0.1, 4, hbar=0.2)
-    dyn.qm_evolve(s, dyn.HamiltonianSpec.zero(), plan, observer=lambda i, st: seen.append((i, st.rep)))
+    plan = dyn.PropagationPlan(0.1, 4)
+    dyn.qm_evolve(s, dyn.HamiltonianSpec.zero(), plan, 0.2,
+                  observer=lambda i, st: seen.append((i, st.rep)))
     assert seen == [(i, "xp") for i in range(4)]
 
 
@@ -230,7 +236,7 @@ def test_qm_evolve_matches_dense_deformed_oracle():
     h = dyn.HamiltonianSpec(mass=1.0, potential=(0.0, 0.3, 0.4))
     hbar, t = 0.35, 0.4
     for conv, (a, b) in dyn.DEFORM_CONVENTIONS.items():
-        out = dyn.qm_evolve(s, h, dyn.PropagationPlan(t / 800, 800, hbar=hbar),
+        out = dyn.qm_evolve(s, h, dyn.PropagationPlan(t / 800, 800), hbar,
                             convention=conv, check_stability=False)
         ref = dense_deformed_evolve(s, h, t, hbar, a, b)
         err = math.sqrt(np.sum(np.abs(out.amp - ref) ** 2) * grid.dx * grid.dp)
@@ -260,7 +266,7 @@ def test_free_bipartite_evolution_factorizes():
 def test_qm_evolve_hbar_zero_delegates(grid):
     s = ps.make_gaussian(grid, 0.0, 1.0, 1.0, 0.5)
     h = dyn.HamiltonianSpec.free(1.0)
-    q = dyn.qm_evolve(s, h, dyn.PropagationPlan(0.05, 10, hbar=0.0))
+    q = dyn.qm_evolve(s, h, dyn.PropagationPlan(0.05, 10), 0.0)
     c = dyn.kvn_evolve(s, h, dyn.PropagationPlan(0.05, 10))
     assert ps.l2_distance(q, c) < 1e-12
 
@@ -268,7 +274,7 @@ def test_qm_evolve_hbar_zero_delegates(grid):
 def test_qm_evolve_unitary_and_momentum_marginal_invariant(grid):
     s = ps.make_gaussian(grid, 0.0, 1.0, 1.0, 0.5)
     h = dyn.HamiltonianSpec.free(1.0)
-    out = dyn.qm_evolve(s, h, dyn.PropagationPlan(0.05, 20, hbar=0.3))
+    out = dyn.qm_evolve(s, h, dyn.PropagationPlan(0.05, 20), 0.3)
     assert abs(out.norm() - 1.0) < 1e-9
     drift = np.abs(
         ps.marginal(out, ("p",)).array - ps.marginal(s, ("p",)).array
@@ -279,7 +285,8 @@ def test_qm_evolve_unitary_and_momentum_marginal_invariant(grid):
 def test_classical_limit_scan_free_particle(grid):
     s = ps.make_gaussian(grid, 0.0, 1.0, 1.0, 0.5)
     h = dyn.HamiltonianSpec.free(1.0)
-    scan = dyn.classical_limit_scan(s, h, 1.0, [0.0, 0.2, 0.1, 0.05], n_steps=50)
+    scan = dyn.classical_limit_scan(s, h, dyn.PropagationPlan(1.0 / 50, 50),
+                                    [0.0, 0.2, 0.1, 0.05])
     assert scan[0] == (0.0, 0.0)
     devs = [dev for _, dev in scan[1:]]
     assert devs[0] > devs[1] > devs[2] > 0
@@ -441,7 +448,7 @@ def test_nan_amplitude_fails_the_guards():
     with pytest.raises(UnstablePlan, match="wraps nan"):
         dyn.kvn_evolve(s, h, dyn.PropagationPlan(0.1, 2))
     with pytest.raises(UnstablePlan, match="boundary mass grew by nan"):
-        dyn.qm_evolve(s, h, dyn.PropagationPlan(0.1, 2, hbar=0.1))
+        dyn.qm_evolve(s, h, dyn.PropagationPlan(0.1, 2), 0.1)
 
 
 def test_pulsed_eps_zero_equals_free():
@@ -646,7 +653,7 @@ def _step_loop(s, steps):
 def test_observed_flight_matches_step_loop(monkeypatch, n, h, splitting, hbar, passes):
     grid = ps.Grid2D(n, n, -12.0, 12.0, -8.0, 8.0)
     g = ps.make_gaussian(grid, -2.0, 0.5, 0.8, 0.5)
-    plan = dyn.PropagationPlan(0.05, 20, splitting, hbar)
+    plan = dyn.PropagationPlan(0.05, 20, splitting)
     a, b = dyn.DEFORM_CONVENTIONS["full_appendixE"] if hbar else (-1.0, 1.0)
     step = dyn._split_step(dyn._generators(g.axes(), ((0, h),), hbar, a, b), plan.dt, splitting)
     split = dyn.split
@@ -656,7 +663,7 @@ def test_observed_flight_matches_step_loop(monkeypatch, n, h, splitting, hbar, p
         s = ps.PhaseState(grid, "xp", g.amp * phase)
         splits, seen = [], []
         monkeypatch.setattr(dyn, "split", lambda *args: (splits.append(1), split(*args)))
-        out = dyn.qm_evolve(s, h, plan, observer=lambda i, st: seen.append(st.amp))
+        out = dyn.qm_evolve(s, h, plan, hbar, observer=lambda i, st: seen.append(st.amp))
         monkeypatch.setattr(dyn, "split", split)
         assert len(splits) == passes
         if phase == 1.0 and not hbar:
@@ -791,7 +798,7 @@ def test_float_state_propagates_as_its_complex_cast():
     assert real.amp.dtype == np.float64
     runs = {
         "real": lambda t: dyn.kvn_evolve(t, free, plan, observer=lambda i, st: None),
-        "deformed": lambda t: dyn.qm_evolve(t, h, dyn.PropagationPlan(0.05, 4, hbar=0.1)),
+        "deformed": lambda t: dyn.qm_evolve(t, h, plan, 0.1),
         "pulsed": lambda t: dyn.pulsed_propagator(ps.product_state(t, device), free, free,
                                                   0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 20)),
         "free pair": lambda t: dyn.free_evolve_bipartite(ps.product_state(t, device), free, free,

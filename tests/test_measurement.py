@@ -141,8 +141,8 @@ def test_simultaneity_point_inputs_exact(grid):
     target = ps.make_point(grid, 1.25, 0.625)
     device = ps.make_point(grid, -1.25, 1.875)
     after = ms.von_neumann_couple(target, device)
-    r1, r2 = ms.check_simultaneity(after, target, device)
-    assert r1 < 1e-12 and r2 < 1e-12
+    r1, r2, inst = ms.check_simultaneity(after, target, device)
+    assert r1 < 1e-12 and r2 < 1e-12 and inst < 1e-12
 
 
 def test_simultaneity_gaussian_inputs(grid):
@@ -150,15 +150,15 @@ def test_simultaneity_gaussian_inputs(grid):
     for _ in range(5):
         target, device = gaussian_pair(grid, rng)
         after = ms.von_neumann_couple(target, device)
-        r1, r2 = ms.check_simultaneity(after, target, device)
-        assert r1 < 1e-6 and r2 < 1e-6
+        r1, r2, inst = ms.check_simultaneity(after, target, device)
+        assert r1 < 1e-6 and r2 < 1e-6 and inst < 1e-6
 
 
 def test_classical_probe_survives_pointer_readout(grid):
     rng = np.random.default_rng(7)
     target, device = gaussian_pair(grid, rng)
     after = ms.von_neumann_couple(target, device)
-    assert ms.pointer_instantiated_residual(after, target) < 1e-6
+    assert ms.check_simultaneity(after, target, device)[2] < 1e-6
 
 
 @pytest.mark.parametrize("mismatch", ["reference", "half_coupling"])
@@ -178,9 +178,8 @@ def test_shifted_residuals_match_cell_loop(grid, mismatch):
         after = dyn.couple_evolve(ps.product_state(target, device), 1.0, 0.5)
     seen = set()
     for floor in (1e-10, 1e-4, 1e-2, 3e-2):
-        r1, r2 = ms.check_simultaneity(after, target, device, mass_floor=floor)
+        r1, r2, inst = ms.check_simultaneity(after, target, device, mass_floor=floor)
         o1, o2 = simultaneity_loop(after, target, device, floor)
-        inst = ms.pointer_instantiated_residual(after, target, mass_floor=floor)
         o_inst = instantiated_residual_loop(after, target, floor)
         assert min(o1, o2, o_inst) > 0.1
         assert abs(r1 - o1) < 1e-14 and abs(r2 - o2) < 1e-14 and abs(inst - o_inst) < 1e-14
