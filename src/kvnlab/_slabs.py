@@ -2,12 +2,13 @@
 
 A transform of an array of at least 2**16 elements (a 256^2 state, a 16^4
 pair and up) runs on every usable core, one slab per core (see split): a
-shear of dynamics, the inverse transforms of a formed coupling, or a
-representation change of phasespace.  The result is bit-identical to the
-serial one.  later is the one place that hands work to the pool: together
-runs these slabs on it, and stateio.write_state hashes a state of that size
-on it while the run goes on.  The usable cores are the process's CPU
-affinity, so ``taskset -c 0`` keeps all of it serial.
+shear of dynamics, the inverse transforms of a formed coupling's two 3-axis
+factors, their 4D product (phasespace._outer), or a representation change
+of phasespace.  The result is bit-identical to the serial one.  later is
+the one place that hands work to the pool: together runs these slabs on
+it, and stateio.write_state hashes a state of that size on it while the
+run goes on.  The usable cores are the process's CPU affinity, so
+``taskset -c 0`` keeps all of it serial.
 """
 
 import os

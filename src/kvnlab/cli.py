@@ -467,7 +467,8 @@ def run(config, out_dir, seed=None):
     A ``seed`` argument wins over ``config["seed"]``, which wins over 0.
     The manifest is written even when the scenario or a state hash fails
     (status records the failure) before the error propagates, a kvnlab
-    error as ScenarioError; configuration errors abort before any output.
+    error as ScenarioError; configuration errors, an ``out_dir`` that cannot
+    be made among them, abort before any output.
     """
     if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
@@ -482,7 +483,10 @@ def run(config, out_dir, seed=None):
 
     out = Path(out_dir)
     made = next(i for i, p in enumerate((out, *out.parents)) if p.exists())  # levels mkdir makes
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path under a regular file, a read-only parent
+        _fail("--out", str(exc))
     manifest = RunManifest(
         scenario=scenario,
         config_hash=_hash_config(config, seed),
@@ -591,7 +595,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, KvnLabError) as exc:
+    except (ScenarioError, KvnLabError, OSError) as exc:  # OSError: a full disk
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
     print(f"ok: results in {manifest.out_dir}")

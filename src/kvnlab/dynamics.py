@@ -43,7 +43,10 @@ observer, the leading factors of a program that act within one subsystem
 run on that subsystem's 2D factor (see _local_head), and the 4D amplitude
 is formed once, at the first factor that couples the two, with the factors
 from there on that are phases in one shared representation, the momentum
-kick and the pointer shift, applied as it is formed (see _form).  The rest
+kick and the pointer shift, applied as it is formed.  Each of them moves
+one subsystem's axis by an amount set by the other's coordinates, so the
+kicked target on (x, p, P) times the shifted device on (x, X, P) is the
+coupled amplitude, and no 4D array is transformed (see _form).  The rest
 run in place on that buffer; a program with no coupling factor returns a
 product state again.
 
@@ -467,11 +470,15 @@ def _form(s, parts, block, checked_phase):
     """The 4D amplitude of the product of the 2D ``parts`` of ``s`` after
     the factors of ``block`` (from _diagonal_head).
 
-    Each part is transformed along the block axes in its subsystem (the
-    target along p, the device along X for the pointer coupling), the outer
-    product of the two spectra is formed once and multiplied by every
-    factor's phase, and one inverse transform per block axis, run on the
-    slabs of split, returns it to coordinates.
+    Each block factor moves an axis of one subsystem by an amount that
+    depends on coordinates of the other (the kick moves the target's p by
+    -lambda*t*P, the pointer shift the device's X by lambda*t*x), so the
+    coupled amplitude is the product of two factors on 3 axes, A[x, p, P]
+    and B[x, X, P].  Each part, with one cell on every axis of the other
+    subsystem, is transformed along its block axes, multiplied by the
+    phases of its block factors, which extend it over the other
+    subsystem's axes they depend on, and transformed back in place;
+    phasespace._outer writes the 4D product.  No 4D array is transformed.
 
     No block factor moves an axis another one's guard reads, so each guard
     sees the product density, whose marginal on a factor's deps() is the
@@ -488,22 +495,26 @@ def _form(s, parts, block, checked_phase):
         root = (marginals[0][:, :, None, None] * marginals[1]).astype(complex)
         phases.append(checked_phase(root, f, s.axes()[f.axis], s.cell_measure(),
                                     s.axis_names[f.axis]))
-    spectra = list(parts)
-    for f in block:
-        side = f.axis // 2
-        spectra[side] = np.fft.fft(spectra[side], axis=f.axis - 2 * side)
-    amp = phasespace._outer(*spectra)
-    block_axes = [f.axis for f in block]
+    sides = [parts[0][:, :, None, None], parts[1][None, None]]
+    for k in (0, 1):
+        own = [(f.axis, phase) for f, phase in zip(block, phases) if f.axis // 2 == k]
+        for axis, _ in own:
+            sides[k] = np.fft.fft(sides[k], axis=axis)
+        for _, phase in own:
+            sides[k] = sides[k] * phase
+        _inverse(sides[k], [axis for axis, _ in own])
+    return phasespace._outer(*sides)
 
-    def inverse(idx):
+
+def _inverse(amp, axes):
+    """amp = ifft(amp) along each of ``axes``, in place on the slabs of split."""
+
+    def block(idx):
         out = amp[idx]
-        for phase in phases:
-            out *= cut(phase, idx)
-        for axis in block_axes:
+        for axis in axes:
             np.fft.ifft(out, axis=axis, out=out)
 
-    split(amp, block_axes, inverse)
-    return amp
+    split(amp, axes, block)
 
 
 def _generators(axes, subsystems, hbar=0.0, a=-1.0, b=1.0):
@@ -620,10 +631,11 @@ def couple_evolve(s, coupling, t, check_wrap=True):
     commuting shears p -> p - lambda*t*P and X -> X + lambda*t*x, so one
     application is exact for any t.  Both are phases where p and X are
     conjugate, so on a product state they are applied as the 4D amplitude
-    is formed, in 2 passes over it.  Raises ShiftOverflow when a shear
-    would wrap more than 1e-6 of the probability around the periodic box
-    (``check_wrap=False`` skips the guard and accepts the periodic
-    identification).
+    is formed: it is written once, as the product of the kicked target on
+    (x, p, P) and the shifted device on (x, X, P).  Raises ShiftOverflow
+    when a shear would wrap more than 1e-6 of the probability around the
+    periodic box (``check_wrap=False`` skips the guard and accepts the
+    periodic identification).
     """
     lam_t = float(coupling) * float(t)
     if lam_t == 0.0:
@@ -654,11 +666,11 @@ def pulsed_propagator(s, h_target, h_device, eps, t1, t_total, plan):
     couple_evolve, run as one engine program: the device flight commutes
     with the coupling, so its two halves fuse.  On a product state the
     target flight to t1 and the device flight run on the 2D factors, the
-    4D amplitude is formed at the coupling with the kick and the pointer
-    shift applied to it, and only the target flight after t1 runs on the
-    4D array.  Raises UnstablePlan when a free-flight shear, ShiftOverflow
-    when a coupling shear would wrap more than 1e-6 of the probability
-    around the periodic box.
+    4D amplitude is formed at the coupling as the product of the kicked
+    target and the shifted device, each on 3 axes, and only the target
+    flight after t1 runs on the 4D array.  Raises UnstablePlan when a
+    free-flight shear, ShiftOverflow when a coupling shear would wrap more
+    than 1e-6 of the probability around the periodic box.
     """
     if not 0.0 < t1 < t_total:
         raise ValueError("need 0 < t1 < t_total")

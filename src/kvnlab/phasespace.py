@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from ._slabs import split
+from ._slabs import cut, split
 from .errors import (
     NonHermitianObservable,
     OutOfBounds,
@@ -303,7 +303,8 @@ class BipartiteState(_Field):
     @property
     def amp(self):
         if self._amp is None:
-            amp = _outer(*(f.amp for f in self.factors))
+            target, device = self.factors
+            amp = _outer(target.amp[:, :, None, None], device.amp[None, None])
             amp.setflags(write=False)
             self._amp = amp
         return self._amp
@@ -322,9 +323,28 @@ class BipartiteState(_Field):
         return f"BipartiteState(rep=({self.rep_name()}))"
 
 
-def _outer(target_amp, device_amp):
-    """A fresh, writeable target (x) device amplitude."""
-    return np.multiply.outer(target_amp, device_amp)
+def _outer(target, device):
+    """A fresh, writeable amplitude over (x, p, X, P): the product of a target
+    and a device factor, each on all 4 axes with one cell on every axis it
+    does not depend on (target[:, :, None, None] and device[None, None] for
+    2D factors), written on the slabs of split.
+
+    Each slab takes the target, then is multiplied by the device in place,
+    which gives the bits of np.multiply(target, device).  One product of
+    the two broadcast factors makes numpy's iterator allocate buffers, and
+    on a pool thread those stay in its malloc arena: with it, the peak RSS
+    of a 32^4 pulsed run read about 0.1 MiB higher.
+    """
+    amp = np.empty(np.broadcast_shapes(target.shape, device.shape),
+                   np.result_type(target, device))
+
+    def block(idx):
+        out = amp[idx]
+        np.copyto(out, cut(target, idx))
+        out *= cut(device, idx)
+
+    split(amp, (), block)
+    return amp
 
 
 def product_state(target: PhaseState, device: PhaseState) -> BipartiteState:

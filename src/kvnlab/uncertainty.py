@@ -6,8 +6,9 @@ D(t) = -t P in terms of initial operators), so every moment reduces to
 initial-state moments of a product state.  The reports here are computed
 that way, with the operator expressions taken from the symbolic engine
 rather than re-derived by hand; a 4D propagation cross-checks one
-configuration in the test suite.  Every operator is an algebra.OperatorExpr,
-evaluated monomial by monomial with phasespace.expectation.
+configuration in the test suite.  Every operator is an algebra.OperatorExpr;
+each state's monomials are evaluated together by phasespace._expectations,
+one density per representation.
 
 Spreads of the conjugate variables obey the Kennard-Robertson bound, and
 the pi_x-disturbance obeys the hbar-independent product inequality
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra
-from .phasespace import PhaseState, expectation, sigma
+from .phasespace import PhaseState, _expectations, sigma
 from .stateio import write_csv
 
 _TOL = 1e-9
@@ -49,19 +50,40 @@ def expectation_of_expr(expr, target: PhaseState, device: PhaseState = None) -> 
     part is evaluated on its own state and the two multiplied
     (product-state factorization).
     """
-    total = 0.0 + 0.0j
-    for key, coeff in expr.terms.items():
-        if any(key[8:]):
-            raise ValueError("expression still contains formal scalars or the Planck pair")
-        value = complex(float(coeff[0]), float(coeff[1]))
-        if any(key[:4]):
-            value *= expectation(target, _local(key[:4]))
-        if any(key[4:8]):
-            if device is None:
+    return _product_expectations([expr], target, device)[0]
+
+
+def _product_expectations(exprs, target, device=None):
+    """expectation_of_expr of each of ``exprs``.
+
+    Each state's distinct monomials go to phasespace._expectations in one
+    call, which takes one density per representation and gives each
+    monomial the bits of its own expectation; every expression then adds up
+    its terms in its own order.
+    """
+    parts = ({}, {})  # per state: the exponents of each monomial, in first-seen order
+    for expr in exprs:
+        for key in expr.terms:
+            if any(key[8:]):
+                raise ValueError("expression still contains formal scalars or the Planck pair")
+            if any(key[4:8]) and device is None:
                 raise ValueError("expression references device operators, no device given")
-            value *= expectation(device, _local(key[4:8]))
-        total += value
-    return total
+            for part, exponents in zip(parts, (key[:4], key[4:8])):
+                if any(exponents):
+                    part[exponents] = None
+    values = [dict(zip(part, _expectations(state, [_local(e) for e in part])))
+              for part, state in zip(parts, (target, device))]
+    totals = []
+    for expr in exprs:
+        total = 0.0 + 0.0j
+        for key, coeff in expr.terms.items():
+            value = complex(float(coeff[0]), float(coeff[1]))
+            for part, exponents in zip(values, (key[:4], key[4:8])):
+                if any(exponents):
+                    value *= part[exponents]
+            total += value
+        totals.append(total)
+    return totals
 
 
 @functools.lru_cache(maxsize=128)
@@ -143,42 +165,32 @@ def error_disturbance(target: PhaseState, device: PhaseState, t) -> EDReport:
     """Moments of the error and disturbance operators on a product state.
 
     All second moments come from the exact Heisenberg closed forms
-    evaluated against the initial states; nothing is propagated.
+    evaluated against the initial states; nothing is propagated.  They,
+    the target's spreads and both states' means are evaluated together:
+    one density per state and representation.
     """
     t = float(t)
-    n_op, d_op, n_sq, d_sq, d_pix_sq, comm = _pointer_algebra(t)
+    spreads = [m for g in (algebra.x, algebra.p, algebra.pi_x) for m in (g, algebra.multiply(g, g))]
+    (n_mean, d_mean, n_sq, d_sq, d_pix_sq, comm_nd, *moments) = _product_expectations(
+        [*_pointer_algebra(t), *spreads, algebra.X, algebra.P], target, device)
+    x1, x2, p1, p2, pix1, pix2, mean_X, mean_P = (m.real for m in moments)
 
-    eps_sq = expectation_of_expr(n_sq, target, device).real
-    eta_sq = expectation_of_expr(d_sq, target, device).real
-    eta_pix_sq = expectation_of_expr(d_pix_sq, target, device).real
-    comm_nd = expectation_of_expr(comm, target, device)
+    def spread(m1, m2):
+        return math.sqrt(max(m2 - m1 * m1, 0.0))
 
-    epsilon = math.sqrt(max(eps_sq, 0.0))
-    eta = math.sqrt(max(eta_sq, 0.0))
-    eta_pix = math.sqrt(max(eta_pix_sq, 0.0))
-    sig_x = sigma(target, "x")
-    sig_p = sigma(target, "p")
-    sig_pix = sigma(target, "pi_x")
-
-    mean_err = expectation_of_expr(n_op, target, device).real
-    mean_dist = expectation_of_expr(d_op, target, device).real
-    mean_x = expectation(target, "x")
-    mean_X = expectation(device, "x")
-    mean_P = expectation(device, "p")
-    unbiased = abs(mean_X - (1.0 - t) * mean_x) <= _TOL and abs(mean_P) <= _TOL
-
+    unbiased = abs(mean_X - (1.0 - t) * x1) <= _TOL and abs(mean_P) <= _TOL
     return EDReport(
         t=t,
-        epsilon=epsilon,
-        eta=eta,
-        eta_pi_x=eta_pix,
-        sigma_x=sig_x,
-        sigma_p=sig_p,
-        sigma_pi_x=sig_pix,
+        epsilon=math.sqrt(max(n_sq.real, 0.0)),
+        eta=math.sqrt(max(d_sq.real, 0.0)),
+        eta_pi_x=math.sqrt(max(d_pix_sq.real, 0.0)),
+        sigma_x=spread(x1, x2),
+        sigma_p=spread(p1, p2),
+        sigma_pi_x=spread(pix1, pix2),
         comm_ND=comm_nd,
         unbiased=unbiased,
-        mean_error=mean_err,
-        mean_disturbance=mean_dist,
+        mean_error=n_mean.real,
+        mean_disturbance=d_mean.real,
     )
 
 

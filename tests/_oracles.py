@@ -120,6 +120,26 @@ def closed_form_couple(target, device):
     return out.with_conj((False, False, False, False))
 
 
+def form_by_outer(target, device, lam_t):
+    """exp(-i lam_t L) of target (x) device, L the generator of x*P, formed
+    by brute force: the outer product of the target's p spectrum and the
+    device's X spectrum is multiplied by the phases of the momentum kick
+    p -> p - lam_t*P and the pointer shift X -> X + lam_t*x, and one 4D
+    inverse FFT along p and one along X return it to coordinates.
+
+    ``target`` and ``device`` are xp PhaseStates; returns the 4D amplitude.
+    """
+    tg, dg = target.grid, device.grid
+    amp = np.multiply.outer(np.fft.fft(target.amp, axis=1), np.fft.fft(device.amp, axis=0))
+    amp *= np.exp(1j * lam_t * dg.p()[None, None, None, :]
+                  * tg.p_axis.conj_coords()[None, :, None, None])
+    amp *= np.exp(-1j * lam_t * tg.x()[:, None, None, None]
+                  * dg.x_axis.conj_coords()[None, None, :, None])
+    for axis in (1, 2):
+        amp = np.fft.ifft(amp, axis=axis)
+    return amp
+
+
 def _axis_phase(axis_obj, shape, axis):
     freqs = axis_obj.conj_coords()
     ph = np.exp(-1j * freqs * axis_obj.vmin) * math.sqrt(axis_obj.d / axis_obj.d_conj)

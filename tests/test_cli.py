@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from kvnlab import _slabs, cli, stateio
+from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import ConfigError, MissingArtifact, ScenarioError, ZeroMassSlice
 from kvnlab.stateio import load_state, save_state
 
-from _oracles import CountingPool
+from _oracles import CountingPool, form_by_outer
 
 
 def write_config(tmp_path, payload, name="exp.json"):
@@ -125,10 +126,16 @@ def test_pulsed_run_forms_one_outer_product(monkeypatch, tmp_path):
                         or made[-1])
     monkeypatch.setattr(ps, "_outer", lambda t, d: formed.append((t, d)) or outer(t, d))
     cli.run(PULSED_CFG, tmp_path / "pl")
-    # the one 4D amplitude is formed from the flown factors, at the coupling
+    # the one 4D amplitude is formed at the coupling, from the target flown
+    # to t1 and kicked along p and the device flown to t_total and shifted
+    # along X, each on 3 axes
     (initial,) = made
     ((t, d),) = formed
-    assert t is not initial.factors[0].amp and d is not initial.factors[1].amp
+    assert (t.shape, d.shape) == ((32, 32, 1, 32), (32, 1, 32, 32))
+    free, plan = dyn.HamiltonianSpec.free(1.0), dyn.PropagationPlan(0.05, 20)
+    target = dyn.free_evolve_bipartite(initial, free, None, 0.4, plan).factors[0]
+    device = dyn.free_evolve_bipartite(initial, None, free, 1.0, plan).factors[1]
+    assert np.abs(t * d - form_by_outer(target, device, 0.5)).max() < 1e-13
 
 
 POINTER_CFG = {
@@ -271,6 +278,27 @@ def test_any_scenario_error_writes_the_manifest(tmp_path, monkeypatch, cores):
     (f,) = manifest["files"]
     assert f == {"name": "final.state",
                  "sha256": hashlib.sha256((out / "final.state").read_bytes()).hexdigest()}
+
+
+def test_out_dir_errors_exit_with_readme_codes(tmp_path, monkeypatch, capsys):
+    # an --out that cannot be made is a config error, raised before any
+    # output; an OSError of the scenario exits 3 once the manifest is written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main(["algebra_verify", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: [Errno 20] Not a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_moments", fail)
+    path = write_config(tmp_path, PULSED_CFG)
+    assert cli.main(["pulsed", "--config", str(path), "--out", str(tmp_path / "pl")]) == 3
+    assert capsys.readouterr().err == "scenario error: [Errno 28] No space left on device\n"
+    manifest = json.loads((tmp_path / "pl" / "manifest.json").read_text())
+    assert manifest["status"] == "failed: [Errno 28] No space left on device"
 
 
 def test_run_evolve_point_state_trajectory(tmp_path):

@@ -14,8 +14,9 @@ from kvnlab import dynamics as dyn
 from kvnlab import phasespace as ps
 from kvnlab.errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 
-from _oracles import (CountingPool, dense_couple, dense_evolve, free_evolve_bipartite_steps,
-                      projected_step_loop, pulsed_three_calls, wrapped_mass)
+from _oracles import (CountingPool, dense_couple, dense_evolve, form_by_outer,
+                      free_evolve_bipartite_steps, projected_step_loop, pulsed_three_calls,
+                      wrapped_mass)
 
 
 @pytest.fixture
@@ -931,7 +932,7 @@ def test_formed_pulsed_program_is_bit_identical_to_serial(monkeypatch, cores):
     with CountingPool(cores - 1) as pool:
         threaded = run((pool, cores))
     assert threaded == serial
-    # the inverse transforms of the formation and the target flight after t1
+    # the product of the formation and the target flight after t1
     assert pool.submitted == 2 * (cores - 1)
 
 
@@ -1040,12 +1041,16 @@ def test_pulsed_device_flight_fuses_across_coupling(monkeypatch):
     (a0, t1, axis0), (a1, d1, axis1), *coupled = applied
     # the target flight to t1 and the whole device flight run on the 2D factors
     assert (a0 is t.amp, axis0, a1 is d.amp, axis1) == (True, 0, True, 0)
-    # the 4D amplitude is formed from the p spectrum of the flown target and
-    # the X spectrum of the flown device, with the kick and the pointer shift
-    # applied to it; only the target flight after t1 runs on the 4D array
-    [(t_spec, d_spec)] = outer
-    assert np.array_equal(t_spec, np.fft.fft(t1, axis=1))
-    assert np.array_equal(d_spec, np.fft.fft(d1, axis=0))
+    # the 4D amplitude is formed once, as the product of the flown target
+    # kicked along p and the flown device shifted along X, each on 3 axes;
+    # only the target flight after t1 runs on the 4D array
+    [(kicked, shifted)] = outer
+    assert (kicked.shape, shifted.shape) == ((32, 32, 1, 32), (32, 1, 32, 32))
+    flown = ps.PhaseState(t.grid, "xp", t1), ps.PhaseState(d.grid, "xp", d1)
+    assert np.abs(kicked * shifted - form_by_outer(*flown, 0.5)).max() < 1e-13
+    # the kick is the identity at P = 0, the pointer shift at x = 0
+    assert np.abs(kicked[:, :, 0, 16] - t1).max() < 1e-15
+    assert np.abs(shifted[16, 0] - d1).max() < 1e-15
     assert [(a.shape, axis) for a, _, axis in coupled] == [((32,) * 4, 0)]
     applied.clear()
     out = dyn.pulsed_propagator(s, free, free, 0.0, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))

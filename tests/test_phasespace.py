@@ -282,7 +282,8 @@ def test_expectation_takes_one_density_per_representation(grid, monkeypatch):
     assert sorted(calls) == ["pix_p", "x_pip", "xp"]
     calls.clear()
     un.error_disturbance(s, device, 1.0)
-    assert len(calls) == 11  # 14 with a density per monomial
+    # one density per state and representation; 14 with a density per monomial
+    assert sorted(calls) == ["pix_p", "pix_p", "xp", "xp"]
 
 
 def test_expectation_equals_per_monomial_loop(grid):
