@@ -3,8 +3,10 @@
 A transform of an array of at least 2**16 elements (a 256^2 state, a 16^4
 pair and up) runs on every usable core, one slab per core (see split): a
 shear of dynamics, the inverse transforms of a formed coupling's two 3-axis
-factors, their 4D product (phasespace._outer), or a representation change
-of phasespace.  The result is bit-identical to the serial one.  later is
+factors, their 4D product (phasespace._outer, or dynamics._flown_product,
+which flies each slab's pieces of the product as it forms them), or a
+representation change of phasespace.  The result is bit-identical to the
+serial one.  later is
 the one place that hands work to the pool: together runs these slabs on
 it, and stateio.write_state hashes a state of that size on it while the
 run goes on.  The usable cores are the process's CPU affinity, so
@@ -24,6 +26,12 @@ from functools import partial
 # 2**16 splits 256^2 and 16^4, which gain on every axis (one 16^4 reading of
 # 0.99 aside), and keeps 2**15 and below, which lose about as often, serial.
 PARALLEL_MIN = 1 << 16
+
+# Work done piece by piece takes pieces of about this many elements, 1 MiB
+# of complex128 (two 32^3 rows of a 32^4 state), which stay in a core's L2
+# cache between their steps and are few enough that numpy's per-call cost
+# stays small.
+CHUNK = 1 << 16
 
 _pool = None  # (executor or None, cores), made on first use
 _pool_lock = threading.Lock()
@@ -125,21 +133,24 @@ def together(size, tasks):
 
 
 def split(arr, axes, block):
-    """Run ``block(idx)`` on slabs ``arr[idx]`` that together cover ``arr``.
-
-    An array large enough for the pool (see together) is cut along its
-    first axis not in ``axes`` into one slab per usable core, and the slabs
-    run together.  Every 1-D line along ``axes`` lies whole in one slab, so
+    """Run ``block(idx)`` on the slabs ``arr[idx]`` of slabs(arr, axes),
+    together.  Every 1-D line along ``axes`` lies whole in one slab, so
     transforms along them are bit-identical to the serial ones.
     """
+    together(arr.size, [partial(block, idx) for idx in slabs(arr, axes)])
+
+
+def slabs(arr, axes):
+    """Index tuples of slabs that together cover ``arr``: one slab per usable
+    core, cut along its first axis not in ``axes``, for an array large enough
+    for the pool (see together); else one slab, the whole array."""
     free = [i for i in range(arr.ndim) if i not in axes]
     cores = _executor()[1] if arr.size >= PARALLEL_MIN and free else 1
     at = free[0] if free else 0
     n = arr.shape[at]
     parts = min(cores, n)
     edges = [n * i // parts for i in range(parts + 1)]
-    together(arr.size, [partial(block, (slice(None),) * at + (slice(lo, hi),))
-                        for lo, hi in zip(edges, edges[1:])])
+    return [(slice(None),) * at + (slice(lo, hi),) for lo, hi in zip(edges, edges[1:])]
 
 
 def cut(phase, idx):

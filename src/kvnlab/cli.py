@@ -230,18 +230,18 @@ def _hash_config(cfg, seed):
 def _moments(state, names):
     """Mean and sigma of each named coordinate axis, and the norm, of ``state``.
 
-    All of them come from one density: each axis's 1-D marginal gives its
-    mean and sigma = sqrt(max(E[u^2] - E[u]^2, 0)), and the total mass the
-    norm.  Returns ([(mean, sigma), ...] in the order of ``names``, norm).
+    All of them come from one sweep over the state (phasespace.marginals):
+    each axis's 1-D marginal gives its mean and
+    sigma = sqrt(max(E[u^2] - E[u]^2, 0)), and the total mass the norm.
+    Returns ([(mean, sigma), ...] in the order of ``names``, norm).
     """
-    rho = ps.joint_density(state, state.axis_names)
+    found, mass = ps.marginals(state, names)
     stats = []
-    for name in names:
-        m = rho.marginalize((name,))
+    for m in found:
         u, w = m.values[0], m.array * m.measures[0]
         mean = float(w @ u)
         stats.append((mean, math.sqrt(max(float(w @ (u * u)) - mean * mean, 0.0))))
-    return stats, math.sqrt(rho.mass())
+    return stats, math.sqrt(mass)
 
 
 # ---------------------------------------------------------------------------

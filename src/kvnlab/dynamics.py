@@ -46,8 +46,12 @@ from there on that are phases in one shared representation, the momentum
 kick and the pointer shift, applied as it is formed.  Each of them moves
 one subsystem's axis by an amount set by the other's coordinates, so the
 kicked target on (x, p, P) times the shifted device on (x, X, P) is the
-coupled amplitude, and no 4D array is transformed (see _form).  The rest
-run in place on that buffer; a program with no coupling factor returns a
+coupled amplitude, and no 4D array is transformed (see _form).  When every
+factor after those acts within one subsystem, as the target flight after t1
+of a pulsed run with a free device does, they run as the product is formed,
+on pieces of it with their axis contiguous, each written once into the 4D
+amplitude (see _flown_product); otherwise the product is written whole and
+the rest run in place on it.  A program with no coupling factor returns a
 product state again.
 
 The hbar-deformed propagator evolves H(x + a*hbar*pi_p, p + b*hbar*pi_x)
@@ -63,11 +67,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from . import algebra
-from ._slabs import cut, split
+from . import _slabs, algebra
+from ._slabs import CHUNK, cut, split
 from .errors import IllegalHamiltonian, ShiftOverflow, UnstablePlan, UnsupportedHamiltonian
 from . import phasespace
 from .phasespace import PhaseState, boundary_mass, l2_distance, product_state
@@ -346,7 +351,9 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
     density it is applied to and raises its ``error`` above 1e-6; a merged
     leading factor checks the observed amplitude once ``after_step`` has
     returned.  Real passes write out of place, into two buffers that take
-    turns, so a pass over _NYQUIST_LIMIT is discarded unseen.
+    turns, so a pass over _NYQUIST_LIMIT is discarded unseen.  On the
+    product path, factors after the coupling that act within one subsystem
+    run on pieces of the product as it is formed (see _flown_product).
     """
     coord = s.with_conj((False,) * len(s.conj_flags))
     axes, names = coord.axes(), coord.axis_names
@@ -369,10 +376,7 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         # |amp|^2 * weight has passed f's guard
         phase, edges = phase_of(f, axis, amp.ndim)
         if edges is not None:
-            mass = _edge_mass(amp, edges) * weight
-            if not mass <= _WRAP_LIMIT:  # a NaN mass fails too
-                raise f.error(f"{f.label} wraps {mass:.3e} of the mass around the "
-                              f"{name} range")
+            _guard(f, _edge_mass(amp, edges) * weight, name)
         return phase
 
     def shear(amp, fs, axis, weight, name):
@@ -399,7 +403,10 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
         if not rest:
             return product_state(*(PhaseState(f.grid, "xp", a) for f, a in zip(coord.factors, parts)))
         block = _diagonal_head(rest)
-        amp, steps = _form(coord, parts, block, checked_phase), [rest[len(block):]]
+        sides, tail = _form(coord, parts, block, checked_phase), rest[len(block):]
+        if tail and _side(tail) is not None:
+            return coord._clone(coord.conj_flags, _flown_product(coord, sides, tail, check_wrap))
+        amp, steps = phasespace._outer(*sides), [tail]
     else:
         entry = amp = coord.amp
         if factors and real != (amp.dtype == np.float64):  # an entry of the other path's dtype
@@ -425,6 +432,19 @@ def _propagate(s, steps, after_step=None, check_wrap=True):
     return coord if amp is entry else coord._clone(coord.conj_flags, amp)
 
 
+def _guard(f, mass, name):
+    """Raise ``f.error`` if ``f`` wraps more than _WRAP_LIMIT of the mass (a NaN mass too)."""
+    if not mass <= _WRAP_LIMIT:
+        raise f.error(f"{f.label} wraps {mass:.3e} of the mass around the {name} range")
+
+
+def _side(factors):
+    """The subsystem, 0 for (x, p) or 1 for (X, P), that holds the axis of every
+    factor of ``factors`` and every axis their shifts depend on; else None."""
+    deps = set().union(*(f.deps() for f in factors))
+    return next((k for k in (0, 1) if deps <= {2 * k, 2 * k + 1}), None)
+
+
 def _local_head(s, program, shear):
     """Run the leading factors of ``program`` that act within one subsystem
     on the 2D factors of the product state ``s``.
@@ -441,7 +461,7 @@ def _local_head(s, program, shear):
     # compiled phases stay unique
     views = {}
     for n, f in enumerate(program):
-        side = next((k for k in (0, 1) if f.deps() <= {2 * k, 2 * k + 1}), None)
+        side = _side([f])
         if side is None:
             return parts, program[n:]
         lo = 2 * side
@@ -467,8 +487,8 @@ def _diagonal_head(program):
 
 
 def _form(s, parts, block, checked_phase):
-    """The 4D amplitude of the product of the 2D ``parts`` of ``s`` after
-    the factors of ``block`` (from _diagonal_head).
+    """The two factors whose product is the 4D amplitude of the 2D ``parts``
+    of ``s`` after the factors of ``block`` (from _diagonal_head).
 
     Each block factor moves an axis of one subsystem by an amount that
     depends on coordinates of the other (the kick moves the target's p by
@@ -477,8 +497,9 @@ def _form(s, parts, block, checked_phase):
     and B[x, X, P].  Each part, with one cell on every axis of the other
     subsystem, is transformed along its block axes, multiplied by the
     phases of its block factors, which extend it over the other
-    subsystem's axes they depend on, and transformed back in place;
-    phasespace._outer writes the 4D product.  No 4D array is transformed.
+    subsystem's axes they depend on, and transformed back in place.  The
+    caller forms their product: phasespace._outer, or _flown_product with
+    the factors that follow.  No 4D array is transformed.
 
     No block factor moves an axis another one's guard reads, so each guard
     sees the product density, whose marginal on a factor's deps() is the
@@ -503,7 +524,73 @@ def _form(s, parts, block, checked_phase):
         for _, phase in own:
             sides[k] = sides[k] * phase
         _inverse(sides[k], [axis for axis, _ in own])
-    return phasespace._outer(*sides)
+    return sides
+
+
+def _flown_product(s, sides, tail, check_wrap):
+    """The 4D amplitude of ``s``: the product of the two ``sides`` (from
+    _form) after the factors of ``tail``, which all act within one
+    subsystem (see _side), as the target flight after t1 of a pulsed run
+    does.  No 4D array is transformed.
+
+    The product is made piece by piece, each piece about _slabs.CHUNK cells:
+    a few rows of the other subsystem's coordinate, in a buffer whose axes
+    are that coordinate, its momentum, then this subsystem's momentum and
+    coordinate, so the lines of a drift along the coordinate are
+    contiguous.  Every tail factor runs on the piece as _pass runs it on
+    the 4D array, ifft(fft(piece) * phase) along its axis, which gives the
+    same bits, and the piece is then written once into the 4D amplitude.
+    The slabs of _slabs.slabs each take their own buffer, made on the
+    calling thread, and never a piece across a slab edge.
+
+    Each factor's guard sums the wrap mass of the pieces it is applied to;
+    once every piece is done, the first factor in program order whose sum
+    passes the limit raises its error, as the 4D loop of _propagate would.
+    """
+    own = 2 * _side(tail)
+    order = (2 - own, 3 - own, own + 1, own)
+    amp = np.empty(np.broadcast_shapes(*(a.shape for a in sides)), np.complex128)
+    target, device, out = (a.transpose(order) for a in (*sides, amp))
+    runs, failed, compiled = [], None, {}
+    for f in tail:
+        key = (f.axis, id(f.shift), f.tau, f.curv)
+        try:
+            if key not in compiled:
+                moved = replace(f, axis=order.index(f.axis), shift=f.shift.transpose(order))
+                compiled[key] = (moved.axis, *_compile(moved, s.axes()[f.axis], 4, check_wrap))
+        except (UnstablePlan, ShiftOverflow) as exc:
+            # a factor that moves cells by a non-finite amount raises once
+            # the guards of the factors before it have passed
+            failed = exc
+            break
+        runs.append(compiled[key])
+    rows = max(1, CHUNK // out[0].size)
+    slabs = _slabs.slabs(out, (1, 2, 3))
+    buffers = [np.empty((min(rows, out.shape[0]),) + out.shape[1:], np.complex128) for _ in slabs]
+    masses = [[0.0] * len(runs) for _ in slabs]
+
+    def fly(idx, buf, mass):
+        lo, hi = idx[0].start, idx[0].stop
+        for at in range(lo, hi, rows):
+            span = (slice(at, min(at + rows, hi)),)
+            piece = buf[:span[0].stop - at]
+            np.copyto(piece, cut(target, span))
+            piece *= cut(device, span)
+            for k, (axis, phase, edges) in enumerate(runs):
+                if edges is not None:
+                    mass[k] += _edge_mass(piece, edges)
+                np.fft.fft(piece, axis=axis, out=piece)
+                piece *= phase
+                np.fft.ifft(piece, axis=axis, out=piece)
+            out[span] = piece
+
+    _slabs.together(amp.size, [partial(fly, *task) for task in zip(slabs, buffers, masses)])
+    if check_wrap:
+        for f, *mass in zip(tail, *masses):
+            _guard(f, sum(mass) * s.cell_measure(), s.axis_names[f.axis])
+    if failed is not None:
+        raise failed
+    return amp
 
 
 def _inverse(amp, axes):
@@ -632,10 +719,10 @@ def couple_evolve(s, coupling, t, check_wrap=True):
     application is exact for any t.  Both are phases where p and X are
     conjugate, so on a product state they are applied as the 4D amplitude
     is formed: it is written once, as the product of the kicked target on
-    (x, p, P) and the shifted device on (x, X, P).  Raises ShiftOverflow
-    when a shear would wrap more than 1e-6 of the probability around the
-    periodic box (``check_wrap=False`` skips the guard and accepts the
-    periodic identification).
+    (x, p, P) and the shifted device on (x, X, P), and no 4D array is
+    transformed.  Raises ShiftOverflow when a shear would wrap more than
+    1e-6 of the probability around the periodic box (``check_wrap=False``
+    skips the guard and accepts the periodic identification).
     """
     lam_t = float(coupling) * float(t)
     if lam_t == 0.0:
@@ -665,12 +752,15 @@ def pulsed_propagator(s, h_target, h_device, eps, t1, t_total, plan):
     with the split steps of free_evolve_bipartite and the shears of
     couple_evolve, run as one engine program: the device flight commutes
     with the coupling, so its two halves fuse.  On a product state the
-    target flight to t1 and the device flight run on the 2D factors, the
-    4D amplitude is formed at the coupling as the product of the kicked
-    target and the shifted device, each on 3 axes, and only the target
-    flight after t1 runs on the 4D array.  Raises UnstablePlan when a
-    free-flight shear, ShiftOverflow when a coupling shear would wrap more
-    than 1e-6 of the probability around the periodic box.
+    target flight to t1 and the device flight run on the 2D factors, and
+    the 4D amplitude is formed at the coupling as the product of the
+    kicked target and the shifted device, each on 3 axes.  With a device
+    free of potential the target flight after t1 runs on pieces of that
+    product as it is formed, so no 4D array is transformed; a device
+    potential's kicks act on both subsystems after t1, and the flights
+    after t1 run on the 4D array.  Raises UnstablePlan when a free-flight
+    shear, ShiftOverflow when a coupling shear would wrap more than 1e-6 of
+    the probability around the periodic box.
     """
     if not 0.0 < t1 < t_total:
         raise ValueError("need 0 < t1 < t_total")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from ._slabs import cut, split
+from ._slabs import CHUNK, cut, split
 from .errors import (
     NonHermitianObservable,
     OutOfBounds,
@@ -233,9 +233,8 @@ class _Field:
         return self._clone(self._conj, self.amp / n)
 
     def density(self):
-        """|amp|^2; of a float64 amplitude, amp * amp, which has the same bits."""
-        a = self.amp
-        return a * a if a.dtype == np.float64 else np.abs(a) ** 2
+        """|amp|^2 (see _abs2)."""
+        return _abs2(self.amp)
 
     def _clone(self, conj, amp):
         raise NotImplementedError
@@ -321,6 +320,11 @@ class BipartiteState(_Field):
 
     def __repr__(self):
         return f"BipartiteState(rep=({self.rep_name()}))"
+
+
+def _abs2(a):
+    """|a|^2; of a float64 array, a * a, which has the same bits."""
+    return a * a if a.dtype == np.float64 else np.abs(a) ** 2
 
 
 def _outer(target, device):
@@ -596,6 +600,68 @@ def marginal(s: _Field, axes) -> Density:
     """
     axes = (axes,) if isinstance(axes, str) else tuple(axes)
     return _density(s.diagonal(axes)).marginalize(axes)
+
+
+def marginals(s: _Field, keeps):
+    """The marginal of ``s`` over each entry of ``keeps`` (axis names, as
+    marginal takes them) and the mass, from one sweep over slabs of x rows.
+
+    One representation must make every named axis diagonal; the others
+    stay as they are, and the mass is that representation's.  Each slab is
+    transformed along the axes other than x that change, and a change of x
+    transforms the whole state first.  Each slab's density is summed over
+    the dropped axes other than x in Density.marginalize's order; the sum
+    over x runs last, on the rows of every slab, so each marginal has the
+    bits of marginal(s, keep).  The mass adds the slab sums in pairs, as
+    numpy's pairwise sum adds halves down to blocks of 128: with 2**k >= 128
+    elements per slab it has the bits of the joint Density.mass.
+    """
+    keeps = [(k,) if isinstance(k, str) else tuple(k) for k in keeps]
+    flags = s._diagonal_flags(name for keep in keeps for name in keep)
+    if flags[0] != s.conj_flags[0]:
+        s = s.with_conj(flags)
+    axes = s.axes()
+    joint = Density(
+        tuple(c if f else n for n, c, f in zip(s.axis_names, s.conj_names, flags)),
+        tuple(ax.conj_coords() if f else ax.coords() for ax, f in zip(axes, flags)),
+        tuple(ax.d_conj if f else ax.d for ax, f in zip(axes, flags)),
+        None,
+    )
+    drops = [[i for i, n in enumerate(joint.axis_names) if n not in keep] for keep in keeps]
+    orders = [tuple(i for i in sorted(drop, reverse=True) if i) for drop in drops]
+    n = s.amp.shape[0]
+    rows = min(n, max(CHUNK, 128) // s.amp[0].size or 1)
+    parts = [None] * len(keeps)
+    sums = []
+    for lo in range(0, n, rows):
+        amp = s.amp[lo:lo + rows]
+        if flags != s.conj_flags:
+            amp = amp.astype(np.complex128)
+            for i, (cur, want) in enumerate(zip(s.conj_flags, flags)):
+                if cur != want:
+                    _transform(amp, axes[i], i, want)
+        dens = _abs2(amp)
+        sums.append(dens.sum())
+        done = {(): dens}  # the slab summed over each leading run of an order, shared
+        for k, order in enumerate(orders):
+            for j in range(len(order)):
+                if order[:j + 1] not in done:
+                    done[order[:j + 1]] = done[order[:j]].sum(axis=order[j])
+            if rows == n:
+                parts[k] = done[order]
+                continue
+            if parts[k] is None:
+                parts[k] = np.empty((n,) + done[order].shape[1:])
+            parts[k][lo:lo + rows] = done[order]
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    out = []
+    for part, drop in zip(parts, drops):
+        scale = 1.0
+        for i in sorted(drop, reverse=True):
+            scale *= joint.measures[i]
+        out.append(joint._without(drop, (part.sum(axis=0) if 0 in drop else part) * scale))
+    return out, float(sums[0]) * joint.cell_measure()
 
 
 def conditional(s: _Field, axis: str, value) -> Density:

@@ -120,18 +120,25 @@ def test_pulsed_moments_match_phasespace(tmp_path):
 
 
 def test_pulsed_run_forms_one_outer_product(monkeypatch, tmp_path):
-    made, formed = [], []
-    product_state, outer = ps.product_state, ps._outer
+    made, formed, outer, passes = [], [], [], []
+    product_state, flown, apply = ps.product_state, dyn._flown_product, dyn._pass
     monkeypatch.setattr(ps, "product_state", lambda t, d: made.append(product_state(t, d))
                         or made[-1])
-    monkeypatch.setattr(ps, "_outer", lambda t, d: formed.append((t, d)) or outer(t, d))
+    monkeypatch.setattr(ps, "_outer", lambda t, d: outer.append((t, d)))
+    monkeypatch.setattr(dyn, "_flown_product", lambda s, sides, tail, check: formed.append(
+        (sides, tail)) or flown(s, sides, tail, check))
+    monkeypatch.setattr(dyn, "_pass", lambda src, dst, axis, phases, seen=None: passes.append(
+        src.ndim) or apply(src, dst, axis, phases, seen))
     cli.run(PULSED_CFG, tmp_path / "pl")
     # the one 4D amplitude is formed at the coupling, from the target flown
     # to t1 and kicked along p and the device flown to t_total and shifted
-    # along X, each on 3 axes
+    # along X, each on 3 axes; the target flight after t1 runs on its pieces
+    # as they are formed, and no pass runs on a 4D array
     (initial,) = made
-    ((t, d),) = formed
+    (((t, d), tail),) = formed
+    assert (outer, passes) == ([], [2, 2])
     assert (t.shape, d.shape) == ((32, 32, 1, 32), (32, 1, 32, 32))
+    assert [(f.label, f.axis, f.tau) for f in tail] == [("kinetic shear", 0, pytest.approx(0.6))]
     free, plan = dyn.HamiltonianSpec.free(1.0), dyn.PropagationPlan(0.05, 20)
     target = dyn.free_evolve_bipartite(initial, free, None, 0.4, plan).factors[0]
     device = dyn.free_evolve_bipartite(initial, None, free, 1.0, plan).factors[1]

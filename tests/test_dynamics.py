@@ -922,8 +922,9 @@ def test_formed_coupling_matches_materialized_state(monkeypatch, n, h_t, h_d, ep
 def test_formed_pulsed_program_is_bit_identical_to_serial(monkeypatch, cores):
     free = dyn.HamiltonianSpec.free(1.0)
 
-    def run(pool):
+    def run(pool, chunk=dyn.CHUNK):
         monkeypatch.setattr(_slabs, "_pool", pool)
+        monkeypatch.setattr(dyn, "CHUNK", chunk)
         out = dyn.pulsed_propagator(_pulsed_pair(), free, free, 0.5, 0.4, 1.0,
                                     dyn.PropagationPlan(0.05, 20))
         return out.amp.tobytes()
@@ -931,8 +932,12 @@ def test_formed_pulsed_program_is_bit_identical_to_serial(monkeypatch, cores):
     serial = run((None, 1))
     with CountingPool(cores - 1) as pool:
         threaded = run((pool, cores))
+        # pieces of 3 rows of X cross no slab edge: on 3 cores the slabs
+        # hold 10, 11 and 11 rows, so each ends in a shorter piece
+        odd = run((pool, cores), 3 * dyn.CHUNK)
     assert threaded == serial
-    # the product of the formation and the target flight after t1
+    assert odd == serial
+    # per run, the product formed with the target flight after t1 on its pieces
     assert pool.submitted == 2 * (cores - 1)
 
 
@@ -974,6 +979,11 @@ def _couple(lam_t):
     return lambda s: dyn.couple_evolve(s, 1.0, lam_t)
 
 
+def _pulse(h_target, t_total):
+    return lambda s: dyn.pulsed_propagator(s, h_target, _FREE, 0.3, 0.2, t_total,
+                                           dyn.PropagationPlan(0.1, 1))
+
+
 # (target, device, run, error, axis named in its message).  The "device of
 # mass" cases wrap 9.4e-7 and 2.2e-6 of the target's own mass in its flight,
 # and 5.6e-7 and 2.0e-6 in the kick of a coupling, so only the device mass
@@ -1012,6 +1022,20 @@ _WRAP_CASES = {
                                      lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 1.0, 1.0,
                                                                       0.5), 0.5),
                                      _couple(0.45), None, None),
+    # the target flight after t1 runs on pieces of the coupled product; its
+    # guard sums their wrap mass, which the device's mass scales
+    "flight after t1": (lambda: ps.make_gaussian(_PAIR, 1.0, 1.0, 1.0, 0.5),
+                        lambda: ps.make_gaussian(_PAIR, 0.0, 0.0, 1.0, 0.5),
+                        _pulse(_FREE, 1.1), UnstablePlan, "x"),
+    "flight after t1, device of mass 1/4": (lambda: ps.make_gaussian(_PAIR, 1.0, 1.0, 1.0, 0.5),
+                                            lambda: _scaled(ps.make_gaussian(_PAIR, 0.0, 0.0,
+                                                                             1.0, 0.5), 0.5),
+                                            _pulse(_FREE, 1.1), None, None),
+    # a harmonic target's flight after t1: a kick several factors in wraps
+    "harmonic flight after t1": (lambda: ps.make_gaussian(_PAIR, 1.5, 0.0, 1.0, 0.5),
+                                 lambda: ps.make_gaussian(_PAIR, 0.0, 0.0, 1.0, 0.5),
+                                 _pulse(dyn.HamiltonianSpec.harmonic(1.0, 1.0), 0.8),
+                                 UnstablePlan, "p"),
 }
 
 
@@ -1029,29 +1053,34 @@ def test_product_path_raises_as_materialized_state(case):
 
 
 def test_pulsed_device_flight_fuses_across_coupling(monkeypatch):
-    applied, outer = [], []
-    apply, form = dyn._pass, ps._outer
+    applied, outer, formed = [], [], []
+    apply, flown = dyn._pass, dyn._flown_product
     monkeypatch.setattr(dyn, "_pass", lambda src, dst, axis, phases, seen=None: (
         applied.append((src, dst, axis)), apply(src, dst, axis, phases, seen))[1])
-    monkeypatch.setattr(ps, "_outer", lambda t, d: (outer.append((t, d)), form(t, d))[1])
+    monkeypatch.setattr(ps, "_outer", lambda t, d: outer.append((t, d)))
+    monkeypatch.setattr(dyn, "_flown_product", lambda s, sides, tail, check: (
+        formed.append((sides, tail)), flown(s, sides, tail, check))[1])
     free = dyn.HamiltonianSpec.free(1.0)
     s = _pulsed_pair()
     t, d = s.factors
-    dyn.pulsed_propagator(s, free, free, 0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
+    out = dyn.pulsed_propagator(s, free, free, 0.5, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
     (a0, t1, axis0), (a1, d1, axis1), *coupled = applied
     # the target flight to t1 and the whole device flight run on the 2D factors
     assert (a0 is t.amp, axis0, a1 is d.amp, axis1) == (True, 0, True, 0)
     # the 4D amplitude is formed once, as the product of the flown target
     # kicked along p and the flown device shifted along X, each on 3 axes;
-    # only the target flight after t1 runs on the 4D array
-    [(kicked, shifted)] = outer
+    # the target flight after t1 runs on pieces of it as they are formed,
+    # and no pass runs on the 4D array
+    [((kicked, shifted), tail)] = formed
+    assert (outer, coupled) == ([], [])
     assert (kicked.shape, shifted.shape) == ((32, 32, 1, 32), (32, 1, 32, 32))
-    flown = ps.PhaseState(t.grid, "xp", t1), ps.PhaseState(d.grid, "xp", d1)
-    assert np.abs(kicked * shifted - form_by_outer(*flown, 0.5)).max() < 1e-13
+    assert [(f.label, f.axis) for f in tail] == [("kinetic shear", 0)]
+    flown2d = ps.PhaseState(t.grid, "xp", t1), ps.PhaseState(d.grid, "xp", d1)
+    assert np.abs(kicked * shifted - form_by_outer(*flown2d, 0.5)).max() < 1e-13
     # the kick is the identity at P = 0, the pointer shift at x = 0
     assert np.abs(kicked[:, :, 0, 16] - t1).max() < 1e-15
     assert np.abs(shifted[16, 0] - d1).max() < 1e-15
-    assert [(a.shape, axis) for a, _, axis in coupled] == [((32,) * 4, 0)]
+    assert out.factors is None
     applied.clear()
     out = dyn.pulsed_propagator(s, free, free, 0.0, 0.4, 1.0, dyn.PropagationPlan(0.05, 1))
     assert [(a.shape, axis) for a, _, axis in applied] == [((32, 32), 0), ((32, 32), 0)]
