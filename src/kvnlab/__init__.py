@@ -5,7 +5,7 @@ Modules:
                  generators, the observable reader and the identity catalog
     phasespace   grids, amplitude fields, the four Fourier representations,
                  expectations, marginals, conditionals
-    stateio      binary state container and CSV density export
+    stateio      binary state container and the CSV and JSON writers of a run
     dynamics     split-operator propagators (classical, hbar-deformed,
                  pointer coupling, pulsed interaction)
     measurement  pointer measurement model, relative-state checks, the
@@ -53,7 +53,6 @@ from .errors import (
     ZeroMassSlice,
 )
 from .measurement import (
-    DeviceSpec,
     KrausFamily,
     KrausOperator,
     MeasurementRecord,
@@ -76,7 +75,7 @@ from .phasespace import (
     product_state,
     to_representation,
 )
-from .stateio import export_density_csv, load_state, save_state
+from .stateio import load_state, save_state
 from .uncertainty import (
     EDReport,
     check_trivial,

@@ -66,7 +66,6 @@ out so the classical limit is numerically meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -135,18 +134,6 @@ class HamiltonianSpec:
     def v_prime(self, x):
         c = self.potential
         return c[1] + 2.0 * c[2] * x
-
-    def to_operator_expr(self, subsystem="target"):
-        """Exact symbolic form of T + V on the chosen subsystem's generators."""
-        q, mom = (algebra.x, algebra.p) if subsystem == "target" else (algebra.X, algebra.P)
-        out = algebra.OperatorExpr.zero()
-        for coeffs, g in ((self.kinetic_coeffs(), mom), (self.potential, q)):
-            acc = algebra.OperatorExpr.one()
-            for k, c in enumerate(coeffs):
-                if c:
-                    out = out + acc.scaled(Fraction(c))
-                acc = algebra.multiply(acc, g)
-        return out
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ psi_after(x, X) = phi(x) * eta(X - x).
 Readout distributions, relative-state (conditional) checks, and the
 operator family obtained by integrating out the device are all computed on
 the lattice.  Conditionals are compared at the density level throughout;
-post-measurement states returned by axis readouts carry the conditional
-density with zero phase (phases of conditionals are convention dependent),
-whereas the device-integrated operator family yields true amplitudes.
+the post-measurement state of a readout cell (post_state) carries the
+conditional density with zero phase (phases of conditionals are convention
+dependent), whereas the device-integrated operator family yields true
+amplitudes.
 """
 
 from __future__ import annotations
@@ -44,28 +45,13 @@ _MASS_FLOOR = 1e-10
 READOUT_AXES = ("X", "P", "pi_X", "pi_P")
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
-    """Initial device state plus the axis that will be read out."""
-
-    state: PhaseState
-    readout_axis: str = "X"
-
-    def __post_init__(self):
-        if self.readout_axis not in READOUT_AXES:
-            raise ValueError(f"invalid readout axis {self.readout_axis!r}")
-        if abs(self.state.norm() - 1.0) > 1e-9:
-            raise ValueError("device state must be normalized")
-
-
 @dataclass
 class MeasurementRecord:
-    """Readout values, their probabilities, and optional conditional states."""
+    """Readout values and their probabilities."""
 
     readout_axis: str
     values: np.ndarray
     probabilities: np.ndarray
-    post_states: list = None
 
     def __post_init__(self):
         total = float(self.probabilities.sum())
@@ -99,31 +85,24 @@ def von_neumann_couple(target: PhaseState, device: PhaseState) -> BipartiteState
     return couple_evolve(product_state(target, device), 1.0, 1.0)
 
 
-def readout(s: BipartiteState, axis: str, with_post_states=False) -> MeasurementRecord:
-    """Projective readout of one device axis.
-
-    Probabilities are the marginal density times the cell measure.  When
-    ``with_post_states`` is set, each readout cell above the mass floor gets
-    the conditional target state (density-level: amplitude sqrt(density),
-    zero phase, as post_state), all cut from one (x, p, axis) density;
-    cells below the floor get None.
-    """
+def _require_readout(axis):
     if axis not in READOUT_AXES:
         raise ValueError(f"not a device axis: {axis!r}")
+
+
+def readout(s: BipartiteState, axis: str) -> MeasurementRecord:
+    """Projective readout of one device axis: probabilities are the
+    marginal density times the cell measure."""
+    _require_readout(axis)
     dens = marginal(s, (axis,))
-    probs = dens.array * dens.measures[0]
-    record = MeasurementRecord(axis, dens.values[0], probs)
-    if with_post_states:
-        amps = np.sqrt(marginal(s, ("x", "p", axis)).array)
-        record.post_states = [
-            None if pr <= 1e-12 else PhaseState(s.target_grid, "xp", amps[..., k]).normalized()
-            for k, pr in enumerate(probs)
-        ]
-    return record
+    return MeasurementRecord(axis, dens.values[0], dens.array * dens.measures[0])
 
 
 def post_state(s: BipartiteState, axis: str, value) -> PhaseState:
-    """Conditional target state given one device-axis cell (density-level)."""
+    """Conditional target state given one device-axis cell (density-level:
+    amplitude sqrt(density), zero phase); ZeroMassSlice if the cell carries
+    no probability (1e-12 or less)."""
+    _require_readout(axis)
     cond = conditional(s, axis, value).marginalize(("x", "p"))
     amp = np.sqrt(np.maximum(cond.array, 0.0))
     return PhaseState(s.target_grid, "xp", amp).normalized()

@@ -413,12 +413,6 @@ def to_representation(s: PhaseState, rep: str) -> PhaseState:
     return s.with_conj(_REP_FLAGS[rep])
 
 
-def inner(a: _Field, b: _Field) -> complex:
-    """Measure-weighted inner product <a|b> in a's representation."""
-    b = b.with_conj(a.conj_flags)
-    return complex(np.vdot(a.amp, b.amp) * a.cell_measure())
-
-
 def l2_distance(a: _Field, b: _Field) -> float:
     b = b.with_conj(a.conj_flags)
     return math.sqrt(float(np.sum(np.abs(a.amp - b.amp) ** 2)) * a.cell_measure())
@@ -596,15 +590,16 @@ def joint_density(s: _Field, axis_names=None) -> Density:
 def marginal(s: _Field, axes) -> Density:
     """Marginal probability density over the named axes (the rest integrated out).
 
-    Conjugate-axis names transform the state first, e.g. axes=("pi_x",).
+    Conjugate-axis names pick the representation, e.g. axes=("pi_x",).
+    This is marginals with one keep: no whole density is formed.
     """
-    axes = (axes,) if isinstance(axes, str) else tuple(axes)
-    return _density(s.diagonal(axes)).marginalize(axes)
+    return marginals(s, [axes])[0][0]
 
 
 def marginals(s: _Field, keeps):
     """The marginal of ``s`` over each entry of ``keeps`` (axis names, as
     marginal takes them) and the mass, from one sweep over slabs of x rows.
+    The axes of each marginal keep the state's order.
 
     One representation must make every named axis diagonal; the others
     stay as they are, and the mass is that representation's.  Each slab is
@@ -612,7 +607,8 @@ def marginals(s: _Field, keeps):
     transforms the whole state first.  Each slab's density is summed over
     the dropped axes other than x in Density.marginalize's order; the sum
     over x runs last, on the rows of every slab, so each marginal has the
-    bits of marginal(s, keep).  The mass adds the slab sums in pairs, as
+    bits of Density.marginalize(keep) of the joint density in that
+    representation.  The mass adds the slab sums in pairs, as
     numpy's pairwise sum adds halves down to blocks of 128: with 2**k >= 128
     elements per slab it has the bits of the joint Density.mass.
     """

@@ -21,7 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 from ._slabs import later
-from .phasespace import BipartiteState, Density, Grid2D, PhaseState, _FLAGS_REP
+from .phasespace import BipartiteState, Grid2D, PhaseState, _FLAGS_REP
 
 _MAGIC = b"KVNSTATE"
 _VERSION = 1
@@ -166,10 +166,3 @@ def write_json(path, obj):
     trailing newline: the format of every JSON file a run writes.  Returns
     the sha256 hex digest of the bytes written."""
     return _write(path, json.JSONEncoder(indent=1, sort_keys=True).iterencode(obj))
-
-
-def export_density_csv(density: Density, path):
-    """Write a density as spreadsheet-ready CSV: value columns then density."""
-    grids = np.meshgrid(*density.values, indexing="ij") if density.values else []
-    flat = [g.ravel() for g in grids] + [density.array.ravel()]
-    return write_csv(path, list(density.axis_names) + ["density"], zip(*flat))

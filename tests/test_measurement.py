@@ -100,25 +100,18 @@ def test_readout_probabilities_and_posts(grid):
     target = ps.make_point(grid, 1.25, 0.625)
     device = ps.make_point(grid, -1.25, 1.875)
     after = ms.von_neumann_couple(target, device)
-    rec = ms.readout(after, "X", with_post_states=True)
+    rec = ms.readout(after, "X")
     assert abs(rec.probabilities.sum() - 1.0) < 1e-9
     hot = int(np.argmax(rec.probabilities))
     assert rec.values[hot] == 0.0
-    post = rec.post_states[hot]
+    post = ms.post_state(after, "X", rec.values[hot])
     assert abs(ps.expectation(post, "x") - 1.25) < 1e-12
     assert abs(ps.expectation(post, "p") + 1.25) < 1e-12  # p0 - P0
-    assert sum(p is None for p in rec.post_states) == grid.n_x - 1
-
-
-@pytest.mark.parametrize("axis", ["X", "pi_P"])
-def test_readout_posts_match_post_state(grid, axis):
-    # the post states cut from one density against one conditional per cell
-    target, device = gaussian_pair(grid, np.random.default_rng(19))
-    after = ms.von_neumann_couple(target, device)
-    rec = ms.readout(after, axis, with_post_states=True)
-    for value, post in zip(rec.values, rec.post_states):
-        if post is not None:
-            assert np.abs(post.amp - ms.post_state(after, axis, value).amp).max() < 1e-13
+    # every other cell carries no more than 1e-12 of probability: no post state
+    for k, value in enumerate(rec.values):
+        if k != hot:
+            with pytest.raises(ZeroMassSlice):
+                ms.post_state(after, "X", value)
 
 
 def test_readout_pi_axis(grid):
@@ -513,12 +506,17 @@ def test_printed_gaps_of_a_device_flat_along_x():
     assert printed_discrepancy_loop(device, target)["piX_piP"]["action_l2"] < 1e-7
 
 
-def test_device_spec_validation(grid):
-    state = ps.make_gaussian(grid, 0.0, 0.0, 1.3, 1.3)
-    spec = ms.DeviceSpec(state=state, readout_axis="X")
-    assert spec.readout_axis == "X"
-    with pytest.raises(ValueError):
-        ms.DeviceSpec(state=state, readout_axis="q")
-    with pytest.raises(ValueError):
-        ms.DeviceSpec(state=ps.PhaseState(grid, "xp", state.amp * 2.0))
+def test_device_spec_validation(grid, monkeypatch):
+    # readout and post_state take a device axis only, and say so before any
+    # density is formed
+    target, device = gaussian_pair(grid, np.random.default_rng(29))
+    after = ms.von_neumann_couple(target, device)
+    formed = []
+    monkeypatch.setattr(ps, "_abs2", lambda a: formed.append(a.shape) or np.abs(a) ** 2)
+    for axis in ("x", "q"):
+        with pytest.raises(ValueError, match=f"^not a device axis: {axis!r}$"):
+            ms.readout(after, axis)
+        with pytest.raises(ValueError, match=f"^not a device axis: {axis!r}$"):
+            ms.post_state(after, axis, 0.3)
+    assert formed == []
 

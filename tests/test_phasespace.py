@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import struct
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvnlab import _slabs
+from kvnlab import _slabs, cli
 from kvnlab import algebra as al
 from kvnlab import phasespace as ps
 from kvnlab import stateio
@@ -22,8 +23,7 @@ from kvnlab.errors import (
     UnsupportedObservable,
     ZeroMassSlice,
 )
-from kvnlab.stateio import (export_density_csv, load_state, save_state, write_csv, write_json,
-                            write_state)
+from kvnlab.stateio import load_state, save_state, write_csv, write_json, write_state
 
 from _oracles import (CountingPool, expectation_per_monomial, save_state_interleaved,
                       to_conjugate, to_coordinate)
@@ -81,8 +81,9 @@ def test_point_cell_snap_and_orthogonality(grid):
     a = ps.make_point(grid, 1.3, 2.2)
     assert abs(ps.expectation(a, "x") - 1.25) < 1e-12
     b = ps.make_point(grid, -3.0, 0.0)
-    assert ps.inner(a, b) == 0
-    assert abs(ps.inner(a, a) - 1.0) < 1e-12
+    # distinct unit points are orthogonal: sqrt(2) apart
+    assert abs(ps.l2_distance(a, b) - math.sqrt(2.0)) < 1e-12
+    assert ps.l2_distance(a, a) == 0.0
     with pytest.raises(OutOfBounds):
         ps.make_point(grid, 9.0, 0.0)
 
@@ -648,15 +649,22 @@ def test_state_container_rejects_foreign_files(tmp_path):
         assert str(err.value) == f"{bad}: {message}"
 
 
-def test_density_csv_export(tmp_path, grid):
-    s = ps.make_gaussian(grid, 0.0, 0.0, 1.0, 1.0)
-    dens = ps.marginal(s, ("x",))
-    path = tmp_path / "dens.csv"
-    export_density_csv(dens, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,density"
+def test_density_csv_export(tmp_path):
+    # the density CSV a run writes: kvn-lab measure --plot distribution
+    config = tmp_path / "measure.json"
+    config.write_text(json.dumps({
+        "grid": {"n_x": 32, "n_p": 32, "x_min": -10.0, "x_max": 10.0, "p_min": -10.0, "p_max": 10.0},
+        "target_state": {"kind": "gaussian", "x0": 0.3, "p0": -0.2, "sigma_x": 1.3, "sigma_p": 1.25},
+        "device_state": {"kind": "gaussian", "x0": -0.1, "p0": 0.15, "sigma_x": 1.28, "sigma_p": 1.31},
+    }))
+    out = tmp_path / "m"
+    assert cli.main(["measure", "--config", str(config), "--out", str(out),
+                     "--plot", "distribution"]) == 0
+    lines = (out / "plot_distribution.csv").read_text().strip().splitlines()
+    assert lines[0] == "value,density"
     values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert abs(values[:, 1].sum() * grid.dx - 1.0) < 1e-9
+    assert len(values) == 32
+    assert abs(values[:, 1].sum() * (values[1, 0] - values[0, 0]) - 1.0) < 1e-9
 
 
 def test_write_csv_exact_bytes(tmp_path):
